@@ -2,7 +2,7 @@
 //!
 //! Where `sched_hotpath` isolates the bare memory controllers, this
 //! bench times **complete sweep cells** — cores, L1/L2, MSHRs,
-//! prefetcher and memory together under `run_benchmark_diag` — so the
+//! prefetcher and memory together under `run_benchmark_traced` — so the
 //! wall clock measures exactly the code the front-end event-ization
 //! changed: the ring-buffer ROB drain, the packed-tag L1/L2 hit path,
 //! the slab MSHR probes, and the tightness of the composed
@@ -27,7 +27,7 @@
 
 use std::time::Instant;
 
-use sim_harness::{run_benchmark_diag, Kernel, MemKind, RunConfig};
+use sim_harness::{run_benchmark_traced, Kernel, MemKind, RunConfig};
 
 struct Cell {
     bench: &'static str,
@@ -60,11 +60,11 @@ fn main() {
             let mut cfg = RunConfig::paper(cell.mem, target_reads);
             cfg.kernel = kernel;
             // Warm-up run, then best-of-3 timed runs.
-            let (_, ks) = run_benchmark_diag(&cfg, cell.bench);
+            let (_, ks, _, _) = run_benchmark_traced(&cfg, cell.bench);
             let mut best = f64::INFINITY;
             for _ in 0..3 {
                 let t0 = Instant::now();
-                let _ = run_benchmark_diag(&cfg, cell.bench);
+                let _ = run_benchmark_traced(&cfg, cell.bench);
                 best = best.min(t0.elapsed().as_secs_f64());
             }
             let cycles = ks.simulated_cycles();

@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use sim_harness::config::MemKind;
-use sim_harness::{run_benchmark_diag, Kernel, RunConfig};
+use sim_harness::{run_benchmark_traced, Kernel, RunConfig};
 
 fn main() {
     cwf_bench::header("simulation-kernel comparison (cycle vs event)");
@@ -31,11 +31,11 @@ fn main() {
             cfg.kernel = kernel;
             // One untimed run warms allocator and caches and yields the
             // (deterministic) kernel counters; the timed loop repeats it.
-            let (_, k) = run_benchmark_diag(&cfg, bench);
+            let (_, k, _, _) = run_benchmark_traced(&cfg, bench);
             let runs = 3;
             let t0 = Instant::now();
             for _ in 0..runs {
-                let _ = run_benchmark_diag(&cfg, bench);
+                let _ = run_benchmark_traced(&cfg, bench);
             }
             let secs = t0.elapsed().as_secs_f64() / f64::from(runs);
             let rate = k.simulated_cycles() as f64 / secs / 1e6;

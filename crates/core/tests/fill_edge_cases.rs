@@ -36,8 +36,11 @@ fn oracle_check(submits: &[(Token, u64)], events: &[MemEvent]) -> Vec<cwf_verify
     out
 }
 
+/// One `WordsAvailable` event: its cycle and word mask.
+type Arrival = Option<(u64, u8)>;
+
 /// The fast/slow `WordsAvailable` pair and the fill for one token.
-fn parts(ev: &[MemEvent], tok: Token) -> (Option<(u64, u8)>, Option<(u64, u8)>, Option<u64>) {
+fn parts(ev: &[MemEvent], tok: Token) -> (Arrival, Arrival, Option<u64>) {
     let mut fast = None;
     let mut slow = None;
     let mut fill = None;

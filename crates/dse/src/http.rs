@@ -119,7 +119,7 @@ pub fn respond_error(stream: &mut TcpStream, status: u16, msg: &str) -> std::io:
         405 => "Method Not Allowed",
         _ => "Internal Server Error",
     };
-    let body = format!("{{\"error\": {}}}\n", crate::json::quote(msg));
+    let body = format!("{{\"error\": \"{}\"}}\n", cwf_tracelog::json::escape(msg));
     respond(stream, status, reason, "application/json", body.as_bytes())
 }
 

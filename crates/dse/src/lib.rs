@@ -15,8 +15,9 @@
 //! * [`server`] — the `cwfmem serve` HTTP/JSON front end (submit
 //!   sweeps, poll or stream status, fetch per-cell results and Perfetto
 //!   traces, graceful shutdown);
-//! * [`http`] / [`json`] — the hand-rolled HTTP/1.1 and JSON layers
-//!   (the build environment is offline; no dependencies).
+//! * [`http`] — the hand-rolled HTTP/1.1 layer (the build environment
+//!   is offline; no dependencies). Request bodies are parsed with the
+//!   workspace's one JSON codec, [`Json`] from `cwf_tracelog::json`.
 //!
 //! Everything observable is deterministic: cell seeds are pure
 //! functions of the sweep request, cached results are bit-identical to
@@ -26,12 +27,11 @@
 pub mod cache;
 pub mod digest;
 pub mod http;
-pub mod json;
 pub mod pool;
 pub mod server;
 
 pub use cache::{CellOutput, ResultCache, Submission};
+pub use cwf_tracelog::json::Json;
 pub use digest::{cell_key, config_digest, CellKey};
-pub use json::Json;
 pub use pool::Pool;
 pub use server::Server;

@@ -29,14 +29,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use cwf_tracelog::json::{escape, Json};
 use sim_harness::config::MemKind;
-use sim_harness::sweep::{cell_seed, Cell};
+use sim_harness::sweep::{cell_seed, panic_text, Cell};
 use sim_harness::{report, Kernel, RunConfig};
 
 use crate::cache::{CellOutput, ResultCache, Submission};
 use crate::digest::cell_key;
 use crate::http::{self, Chunked};
-use crate::json::{quote, Json};
 use crate::pool::Pool;
 
 /// Largest cell grid one `POST /sweep` may submit.
@@ -99,11 +99,11 @@ impl SweepJob {
     fn progress_json(&self) -> String {
         let done = self.done.load(Ordering::Acquire);
         format!(
-            "{{\"id\": {}, \"state\": {}, \"total\": {}, \"done\": {done}, \
+            "{{\"id\": {}, \"state\": \"{}\", \"total\": {}, \"done\": {done}, \
              \"failed\": {}, \"cache_hits\": {}, \"batched\": {}, \
              \"duplicate_deliveries\": {}}}",
             self.id,
-            quote(if done == self.cells.len() { "done" } else { "running" }),
+            if done == self.cells.len() { "done" } else { "running" },
             self.cells.len(),
             self.failed.load(Ordering::Relaxed),
             self.cache_hits.load(Ordering::Relaxed),
@@ -129,9 +129,9 @@ impl SweepJob {
             let key = cell_key(cell);
             let _ = write!(
                 out,
-                "{{\"bench\": {}, \"mem\": {}, \"seed\": \"{}\", \"digest\": \"{:#018x}\", ",
-                quote(&cell.bench),
-                quote(&cell.cfg.mem.slug()),
+                "{{\"bench\": \"{}\", \"mem\": \"{}\", \"seed\": \"{}\", \"digest\": \"{:#018x}\", ",
+                escape(&cell.bench),
+                escape(&cell.cfg.mem.slug()),
                 cell.cfg.seed,
                 key.digest
             );
@@ -190,17 +190,6 @@ impl State {
     }
 }
 
-/// Render a panic payload (`&str` or `String` in practice) as text.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
 /// Execute one cell and render its outcome. Runs on a pool worker;
 /// panics become a failed [`CellOutput`]. Failures are delivered to the
 /// sweeps waiting on the cell but never memoized (see
@@ -208,14 +197,8 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// served a possibly-transient error doc forever.
 fn run_cell(cell: &Cell) -> CellOutput {
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let (m, k, v) = sim_harness::run_benchmark_verified(&cell.cfg, &cell.bench);
-        match v {
-            Some(v) => {
-                let clean = v.is_clean();
-                (report::to_json_verified(&m, &k, &v), clean)
-            }
-            None => (report::to_json_diag(&m, &k), true),
-        }
+        let (m, k, v, t) = sim_harness::run_benchmark_traced(&cell.cfg, &cell.bench);
+        (report::to_json_observed(&m, &k, v.as_ref(), t.as_ref()), v.is_none_or(|v| v.is_clean()))
     }));
     match run {
         Ok((json, clean)) => {
@@ -226,10 +209,10 @@ fn run_cell(cell: &Cell) -> CellOutput {
             bench: cell.bench.clone(),
             mem: cell.cfg.mem.slug(),
             json: format!(
-                "{{\"error\": {}, \"bench\": {}, \"mem\": {}}}\n",
-                quote(&panic_text(&*payload)),
-                quote(&cell.bench),
-                quote(&cell.cfg.mem.slug())
+                "{{\"error\": \"{}\", \"bench\": \"{}\", \"mem\": \"{}\"}}\n",
+                escape(&panic_text(&*payload)),
+                escape(&cell.bench),
+                escape(&cell.cfg.mem.slug())
             ),
         },
     }
@@ -269,13 +252,25 @@ fn submit_sweep(state: &Arc<State>, cells: Vec<Cell>) -> Arc<SweepJob> {
     job
 }
 
+/// Optional request field `key`: `Ok(None)` when absent, an error naming
+/// the field when present but not `what`.
+fn opt_field<'a, T>(
+    v: &'a Json,
+    key: &str,
+    conv: fn(&'a Json) -> Option<T>,
+    what: &str,
+) -> Result<Option<T>, String> {
+    v.get(key).map(|x| conv(x).ok_or_else(|| format!("'{key}' must be {what}"))).transpose()
+}
+
 /// Parse a `POST /sweep` body into its cell grid.
 ///
 /// Shape: `{"benches": [..], "kinds": [..], "reads": N, "quick": bool,
 /// "cores": N, "verify": bool, "kernel": "cycle"|"event", "seed": N}`.
-/// Benchmarks and kinds are validated here so a typo is a 400, not a
-/// panicked cell. Tracing is always off in sweep cells (the trace
-/// endpoint reruns a cell with it on).
+/// Benchmarks, kinds and every present optional field are validated here
+/// so a typo is a 400, not a panicked cell or a silently ignored value.
+/// Tracing is always off in sweep cells (the trace endpoint reruns a cell
+/// with it on).
 fn parse_sweep_request(body: &[u8]) -> Result<Vec<Cell>, String> {
     let text = std::str::from_utf8(body).map_err(|e| format!("body is not UTF-8: {e}"))?;
     let v = Json::parse(text)?;
@@ -301,15 +296,18 @@ fn parse_sweep_request(body: &[u8]) -> Result<Vec<Cell>, String> {
         .iter()
         .map(|k| MemKind::parse(k).ok_or_else(|| format!("unknown memory kind '{k}'")))
         .collect::<Result<_, _>>()?;
-    let reads = v.get("reads").and_then(Json::as_u64).unwrap_or(2_000);
-    let quick = v.get("quick").and_then(Json::as_bool).unwrap_or(false);
-    let cores = v.get("cores").and_then(Json::as_u64);
-    let verify = v.get("verify").and_then(Json::as_bool);
-    let kernel = match v.get("kernel").and_then(Json::as_str) {
+    const WHOLE: &str = "a whole number in 0..=2^53";
+    let reads = opt_field(&v, "reads", Json::as_u64, WHOLE)?.unwrap_or(2_000);
+    let quick = opt_field(&v, "quick", Json::as_bool, "a boolean")?.unwrap_or(false);
+    let cores = opt_field(&v, "cores", Json::as_u64, WHOLE)?
+        .map(|c| u8::try_from(c).map_err(|_| "'cores' out of range".to_owned()))
+        .transpose()?;
+    let verify = opt_field(&v, "verify", Json::as_bool, "a boolean")?;
+    let kernel = match opt_field(&v, "kernel", Json::as_str, "a string")? {
         Some(k) => Some(Kernel::from_env_str(k).ok_or_else(|| format!("unknown kernel '{k}'"))?),
         None => None,
     };
-    let base_seed = v.get("seed").and_then(Json::as_u64);
+    let base_seed = opt_field(&v, "seed", Json::as_u64, WHOLE)?;
     if benches.len().saturating_mul(kinds.len()) > MAX_CELLS {
         return Err(format!("grid exceeds {MAX_CELLS} cells"));
     }
@@ -319,7 +317,7 @@ fn parse_sweep_request(body: &[u8]) -> Result<Vec<Cell>, String> {
             let mut cfg =
                 if quick { RunConfig::quick(k, reads) } else { RunConfig::paper(k, reads) };
             if let Some(c) = cores {
-                cfg.cores = u8::try_from(c).map_err(|_| "'cores' out of range".to_owned())?;
+                cfg.cores = c;
             }
             if let Some(vfy) = verify {
                 cfg.verify = vfy;
@@ -672,7 +670,15 @@ mod tests {
     fn rejects_bad_requests() {
         let server = Server::start("127.0.0.1:0", 1).unwrap();
         let addr = server.addr();
+        let deep = "[".repeat(100_000);
         for (body, needle) in [
+            (deep.as_str(), "nesting"),
+            (r#"{"benches": ["mcf"], "kinds": ["rl"], "reads": -5}"#, "'reads'"),
+            (r#"{"benches": ["mcf"], "kinds": ["rl"], "seed": 18446744073709551615}"#, "'seed'"),
+            (r#"{"benches": ["mcf"], "kinds": ["rl"], "verify": "yes"}"#, "'verify'"),
+            (r#"{"benches": ["mcf"], "kinds": ["rl"], "quick": 1}"#, "'quick'"),
+            (r#"{"benches": ["mcf"], "kinds": ["rl"], "cores": 1.5}"#, "'cores'"),
+            (r#"{"benches": ["mcf"], "kinds": ["rl"], "cores": 300}"#, "'cores'"),
             ("{", "expected"),
             ("{}", "missing or empty 'benches'"),
             (r#"{"benches": ["nope"], "kinds": ["rl"]}"#, "unknown benchmark"),
@@ -680,9 +686,12 @@ mod tests {
             (r#"{"benches": ["mcf"], "kinds": ["rl"], "kernel": "quantum"}"#, "unknown kernel"),
         ] {
             let (status, text) = client_request(addr, "POST", "/sweep", Some(body)).unwrap();
-            assert_eq!(status, 400, "body {body} -> {text}");
-            assert!(text.contains(needle), "body {body} -> {text}");
+            assert_eq!(status, 400, "body {:.60} -> {text}", body);
+            assert!(text.contains(needle), "body {:.60} -> {text}", body);
         }
+        // The nesting attack left the server up.
+        let (status, _) = client_request(addr, "GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200);
         let (status, _) = client_request(addr, "GET", "/sweep/999", None).unwrap();
         assert_eq!(status, 404);
         let (status, _) = client_request(addr, "DELETE", "/sweep/1", None).unwrap();

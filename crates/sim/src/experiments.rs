@@ -18,7 +18,8 @@ use workloads::{by_name, suite, TraceGen};
 use crate::config::{MemBackend, MemKind, RunConfig};
 use crate::metrics::RunMetrics;
 use crate::report::{pct, pct_delta, Table};
-use crate::runner::{parallel_map, run_benchmark};
+use crate::runner::run_benchmark;
+use crate::sweep::{jobs, ordered_map};
 use crate::system::System;
 
 /// The full 27-program suite.
@@ -284,10 +285,9 @@ pub fn fig4_critical_word_distribution(benches: &[&str], misses: u64) -> Table {
         "Figure 4: critical word distribution at the DRAM level (paper: word 0 >50% for 21 of 27)",
         &["bench", "w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7"],
     );
-    let rows: Vec<(String, [u64; 8])> =
-        parallel_map(benches.iter().map(|b| (*b).to_owned()).collect(), |bench| {
-            (bench.clone(), critical_word_profile(bench, misses).0)
-        });
+    let rows: Vec<(String, [u64; 8])> = ordered_map(benches, jobs(), |bench| {
+        ((*bench).to_owned(), critical_word_profile(bench, misses).0)
+    });
     let mut word0_over_half = 0;
     for (bench, hist) in &rows {
         let total: u64 = hist.iter().sum::<u64>().max(1);
@@ -555,7 +555,7 @@ pub fn ablations(benches: &[&str], reads: u64) -> Table {
         .flat_map(|b| (0..variants.len() + 2).map(move |v| ((*b).to_owned(), v)))
         .collect();
     let variants_ref = &variants;
-    let results: Vec<f64> = parallel_map(tasks.clone(), move |(bench, v)| {
+    let results: Vec<f64> = ordered_map(&tasks, jobs(), move |(bench, v)| {
         let paper = |mem, prefetch: bool| {
             let mut c = RunConfig::paper(mem, reads);
             c.prefetch = prefetch;
@@ -638,39 +638,37 @@ pub fn ablations(benches: &[&str], reads: u64) -> Table {
 #[must_use]
 pub fn alternatives(benches: &[&str], reads: u64) -> (Table, Table) {
     // --- §7.1: profile-guided page placement ---
-    let rows: Vec<(String, f64, f64)> =
-        parallel_map(benches.iter().map(|b| (*b).to_owned()).collect(), |bench| {
-            let profile = by_name(bench).expect("known benchmark");
-            let cfg = RunConfig::paper(MemKind::Ddr3, reads / 2);
-            // Offline profiling pass over the baseline.
-            let mut prof_sys = System::with_backend(
-                &cfg,
-                profile,
-                MemBackend::Profiling(ProfilingMemory::new(HomogeneousMemory::baseline_ddr3())),
-            );
-            let _ = prof_sys.run();
-            let counts = prof_sys
-                .hierarchy()
-                .memory()
-                .profiling()
-                .expect("profiling backend")
-                .page_counts()
-                .clone();
-            // Top 7.6% of touched pages go to RLDRAM3 (paper §7.1).
-            let hot = hot_pages(&counts, 0.076);
-            let cfg = RunConfig::paper(MemKind::Ddr3, reads);
-            let ws_pp = ipc_custom(&cfg, bench, || {
-                MemBackend::PagePlaced(PagePlacedMemory::new(hot.clone()))
-            });
-            let ws_base = run_benchmark(&cfg, bench).ipc_total();
-            let hot_frac = {
-                let total: u64 = counts.values().sum();
-                let hot_count: u64 =
-                    counts.iter().filter(|(p, _)| hot.contains(p)).map(|(_, c)| *c).sum();
-                hot_count as f64 / total.max(1) as f64
-            };
-            ((*bench).to_owned(), ws_pp / ws_base.max(1e-9), hot_frac)
-        });
+    let rows: Vec<(String, f64, f64)> = ordered_map(benches, jobs(), |bench| {
+        let profile = by_name(bench).expect("known benchmark");
+        let cfg = RunConfig::paper(MemKind::Ddr3, reads / 2);
+        // Offline profiling pass over the baseline.
+        let mut prof_sys = System::with_backend(
+            &cfg,
+            profile,
+            MemBackend::Profiling(ProfilingMemory::new(HomogeneousMemory::baseline_ddr3())),
+        );
+        let _ = prof_sys.run();
+        let counts = prof_sys
+            .hierarchy()
+            .memory()
+            .profiling()
+            .expect("profiling backend")
+            .page_counts()
+            .clone();
+        // Top 7.6% of touched pages go to RLDRAM3 (paper §7.1).
+        let hot = hot_pages(&counts, 0.076);
+        let cfg = RunConfig::paper(MemKind::Ddr3, reads);
+        let ws_pp =
+            ipc_custom(&cfg, bench, || MemBackend::PagePlaced(PagePlacedMemory::new(hot.clone())));
+        let ws_base = run_benchmark(&cfg, bench).ipc_total();
+        let hot_frac = {
+            let total: u64 = counts.values().sum();
+            let hot_count: u64 =
+                counts.iter().filter(|(p, _)| hot.contains(p)).map(|(_, c)| *c).sum();
+            hot_count as f64 / total.max(1) as f64
+        };
+        ((*bench).to_owned(), ws_pp / ws_base.max(1e-9), hot_frac)
+    });
     let mut t71 = Table::new(
         "§7.1 page placement: top 7.6% of pages in RLDRAM3 (paper: -9.3%..+11.2%, avg ~+8%)",
         &["bench", "normalized throughput", "accesses to hot pages"],
@@ -743,7 +741,7 @@ pub fn dramcache_head_to_head(benches: &[&str], reads: u64) -> Table {
     let dc_kind = MemKind::DramCache(DeviceKind::Rldram3, DeviceKind::NvmSlow);
     let tasks: Vec<(String, usize)> =
         benches.iter().flat_map(|b| (0..VARIANTS).map(move |v| ((*b).to_owned(), v))).collect();
-    let results: Vec<(f64, Option<f64>)> = parallel_map(tasks.clone(), move |(bench, v)| {
+    let results: Vec<(f64, Option<f64>)> = ordered_map(&tasks, jobs(), move |(bench, v)| {
         match *v {
             0 => (run_benchmark(&RunConfig::paper(MemKind::Ddr3, reads), bench).ipc_total(), None),
             1 => (run_benchmark(&RunConfig::paper(MemKind::Rl, reads), bench).ipc_total(), None),

@@ -43,9 +43,8 @@ pub use cwf_verify::VerifyReport;
 pub use metrics::RunMetrics;
 pub use report::Table;
 pub use runner::{
-    normalized_throughput, resume_benchmark, resume_benchmark_to_cycle, run_benchmark,
-    run_benchmark_ckpt, run_benchmark_diag, run_benchmark_traced,
-    run_benchmark_traced_with_backend, run_benchmark_verified, weighted_speedup, CkptOutcome,
+    normalized_throughput, resume_benchmark_to_cycle, run_benchmark, run_benchmark_ckpt,
+    run_benchmark_traced, weighted_speedup, CkptOutcome,
 };
 pub use sweep::{Cell, CellResult};
 pub use system::{KernelStats, System};

@@ -132,23 +132,6 @@ impl std::fmt::Display for Table {
 // Structured (JSON) export.
 // ---------------------------------------------------------------------------
 
-/// Escape a string for inclusion in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Format an `f64` with a fixed six-decimal representation.
 ///
 /// Fixed precision (rather than shortest-roundtrip) makes the byte
@@ -198,33 +181,21 @@ pub fn to_json_diag(m: &crate::metrics::RunMetrics, k: &crate::system::KernelSta
     write_json(m, Some(k), None, None)
 }
 
-/// [`to_json_diag`] plus an additive `"verify"` object summarising the
-/// cross-layer oracle's findings (checked counts, violation total, first
-/// few violations rendered as strings). Like the `"kernel"` object, the
-/// addition leaves every other byte — including the schema tag — identical
-/// to [`to_json`] on the same metrics.
+/// [`to_json_diag`] plus the additive observer objects of the run that
+/// collected them: `"verify"` (checked counts, violation total, the first
+/// few violations rendered as strings) when `v` is given, and `"trace"`
+/// (event counts, ring drops, latency-waterfall stage aggregates) when `t`
+/// is. As with the `"kernel"` object, the additions leave every other
+/// byte — including the schema tag — identical to [`to_json`] on the same
+/// metrics.
 #[must_use]
-pub fn to_json_verified(
-    m: &crate::metrics::RunMetrics,
-    k: &crate::system::KernelStats,
-    v: &cwf_verify::VerifyReport,
-) -> String {
-    write_json(m, Some(k), Some(v), None)
-}
-
-/// [`to_json_diag`] plus the additive `"trace"` object (event counts,
-/// ring drops, and the latency-waterfall stage aggregates) and, when the
-/// run was also verified, the `"verify"` object. As with every other
-/// diagnostics object, the addition leaves all other bytes — including
-/// the schema tag — identical to [`to_json`] on the same metrics.
-#[must_use]
-pub fn to_json_traced(
+pub fn to_json_observed(
     m: &crate::metrics::RunMetrics,
     k: &crate::system::KernelStats,
     v: Option<&cwf_verify::VerifyReport>,
-    t: &crate::trace::TraceReport,
+    t: Option<&crate::trace::TraceReport>,
 ) -> String {
-    write_json(m, Some(k), v, Some(t))
+    write_json(m, Some(k), v, t)
 }
 
 fn write_json(
@@ -234,14 +205,15 @@ fn write_json(
     trace: Option<&crate::trace::TraceReport>,
 ) -> String {
     use crate::metrics::CPU_HZ;
+    use cwf_tracelog::json::escape;
     use dram_power::LpddrIo;
 
     let cpu_cycle_ns = 1e9 / CPU_HZ;
     let mut o = String::new();
     o.push_str("{\n");
     o.push_str("  \"schema\": \"cwfmem.run.v1\",\n");
-    o.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(&m.bench)));
-    o.push_str(&format!("  \"mem\": \"{}\",\n", json_escape(&m.mem.label())));
+    o.push_str(&format!("  \"bench\": \"{}\",\n", escape(&m.bench)));
+    o.push_str(&format!("  \"mem\": \"{}\",\n", escape(&m.mem.label())));
     o.push_str(&format!("  \"cycles\": {},\n", m.cycles));
     o.push_str(&format!(
         "  \"insts_per_core\": [{}],\n",
@@ -317,7 +289,7 @@ fn write_json(
             if i > 0 {
                 o.push(',');
             }
-            o.push_str(&format!("\n      \"{}\"", json_escape(&viol.to_string())));
+            o.push_str(&format!("\n      \"{}\"", escape(&viol.to_string())));
         }
         if !v.violations.is_empty() {
             o.push_str("\n    ");
@@ -335,7 +307,7 @@ fn write_json(
             o.push(',');
         }
         o.push_str("\n    {\n");
-        o.push_str(&format!("      \"label\": \"{}\",\n", json_escape(&c.label)));
+        o.push_str(&format!("      \"label\": \"{}\",\n", escape(&c.label)));
         o.push_str(&format!("      \"kind\": \"{}\",\n", format!("{:?}", c.kind).to_lowercase()));
         o.push_str(&format!("      \"mem_cycles\": {},\n", c.mem_cycles));
         o.push_str(&format!("      \"reads\": {},\n", c.channel.reads));

@@ -1,10 +1,15 @@
 //! Benchmark runners and the paper's throughput metric.
 
-use workloads::by_name;
+use workloads::{by_name, BenchmarkProfile};
 
-use crate::config::{MemKind, RunConfig};
+use crate::config::RunConfig;
 use crate::metrics::RunMetrics;
 use crate::system::{KernelStats, System};
+
+/// The workload profile `bench` names.
+fn profile(bench: &str) -> &'static BenchmarkProfile {
+    by_name(bench).unwrap_or_else(|| panic!("unknown benchmark '{bench}' (see workloads::suite())"))
+}
 
 /// Run one benchmark under `cfg`.
 ///
@@ -14,51 +19,13 @@ use crate::system::{KernelStats, System};
 /// `dcsweep`/`dcthrash`/`dcresident` DRAM-cache stressors.
 #[must_use]
 pub fn run_benchmark(cfg: &RunConfig, bench: &str) -> RunMetrics {
-    run_benchmark_diag(cfg, bench).0
+    System::new(cfg, profile(bench)).run()
 }
 
 /// Run one benchmark under `cfg`, also returning the kernel's execution
-/// counters (tick-call counts, skipped cycles). The metrics half is
-/// identical to [`run_benchmark`] — the diagnostics ride alongside, never
-/// inside, [`RunMetrics`].
-///
-/// # Panics
-///
-/// Panics if `bench` is not one of the 27 suite programs or the
-/// `dcsweep`/`dcthrash`/`dcresident` DRAM-cache stressors.
-#[must_use]
-pub fn run_benchmark_diag(cfg: &RunConfig, bench: &str) -> (RunMetrics, KernelStats) {
-    let profile = by_name(bench)
-        .unwrap_or_else(|| panic!("unknown benchmark '{bench}' (see workloads::suite())"));
-    let mut sys = System::new(cfg, profile);
-    let metrics = sys.run();
-    (metrics, sys.kernel_stats())
-}
-
-/// Run one benchmark under `cfg`, also returning the verify oracle's
-/// report (`None` when `cfg.verify` is off). Metrics are bit-identical to
-/// [`run_benchmark`] — the oracle observes, never steers.
-///
-/// # Panics
-///
-/// Panics if `bench` is not one of the 27 suite programs or the
-/// `dcsweep`/`dcthrash`/`dcresident` DRAM-cache stressors.
-#[must_use]
-pub fn run_benchmark_verified(
-    cfg: &RunConfig,
-    bench: &str,
-) -> (RunMetrics, KernelStats, Option<cwf_verify::VerifyReport>) {
-    let profile = by_name(bench)
-        .unwrap_or_else(|| panic!("unknown benchmark '{bench}' (see workloads::suite())"));
-    let mut sys = System::new(cfg, profile);
-    let metrics = sys.run();
-    (metrics, sys.kernel_stats(), sys.verify_report())
-}
-
-/// Run one benchmark under `cfg`, also returning the collected trace
-/// (`None` when `cfg.trace` is off) and, when `cfg.verify` is on, the
-/// oracle's report. Metrics are bit-identical to [`run_benchmark`] — the
-/// tracer observes, never steers.
+/// counters, the verify oracle's report (`None` when `cfg.verify` is off)
+/// and the collected trace (`None` when `cfg.trace` is off). Metrics are
+/// bit-identical to [`run_benchmark`] — the observers never steer.
 ///
 /// # Panics
 ///
@@ -70,32 +37,7 @@ pub fn run_benchmark_traced(
     bench: &str,
 ) -> (RunMetrics, KernelStats, Option<cwf_verify::VerifyReport>, Option<crate::trace::TraceReport>)
 {
-    let profile = by_name(bench)
-        .unwrap_or_else(|| panic!("unknown benchmark '{bench}' (see workloads::suite())"));
-    let mut sys = System::new(cfg, profile);
-    let metrics = sys.run();
-    (metrics, sys.kernel_stats(), sys.verify_report(), sys.trace_report())
-}
-
-/// Run one benchmark under `cfg` on an explicit, pre-built memory backend
-/// (e.g. a `--spec file.toml` homogeneous memory whose device config came
-/// from disk rather than a [`MemKind`] preset). Same return shape as
-/// [`run_benchmark_traced`].
-///
-/// # Panics
-///
-/// Panics if `bench` is not one of the 27 suite programs or the
-/// `dcsweep`/`dcthrash`/`dcresident` DRAM-cache stressors.
-#[must_use]
-pub fn run_benchmark_traced_with_backend(
-    cfg: &RunConfig,
-    bench: &str,
-    backend: crate::config::MemBackend,
-) -> (RunMetrics, KernelStats, Option<cwf_verify::VerifyReport>, Option<crate::trace::TraceReport>)
-{
-    let profile = by_name(bench)
-        .unwrap_or_else(|| panic!("unknown benchmark '{bench}' (see workloads::suite())"));
-    let mut sys = System::with_backend(cfg, profile, backend);
+    let mut sys = System::new(cfg, profile(bench));
     let metrics = sys.run();
     (metrics, sys.kernel_stats(), sys.verify_report(), sys.trace_report())
 }
@@ -126,7 +68,7 @@ pub enum CkptOutcome {
 
 /// Run `bench` under `cfg`, pausing at the first cycle `>= stop_at`. A
 /// paused run serializes to a `cwfmem.ckpt.v1` blob that
-/// [`resume_benchmark`] continues with bit-identical results — the
+/// [`resume_benchmark_to_cycle`] continues with bit-identical results — the
 /// verify oracle's books and the trace ring both ride the blob.
 ///
 /// # Errors
@@ -144,32 +86,10 @@ pub fn run_benchmark_ckpt(
     segment_outcome(sys.run_to_cycle(stop_at), sys)
 }
 
-/// Resume a checkpointed run to completion, returning what
-/// [`run_benchmark_traced_with_backend`] would have for the
-/// uninterrupted run: verify and trace reports are present exactly when
-/// the checkpointed run had them enabled.
-///
-/// # Errors
-///
-/// Fails when the blob is malformed or disagrees with the workspace's
-/// benchmark registry.
-#[allow(clippy::type_complexity)] // mirrors run_benchmark_traced_with_backend
-pub fn resume_benchmark(
-    bytes: &[u8],
-) -> cwf_ckpt::Result<(
-    RunMetrics,
-    KernelStats,
-    Option<cwf_verify::VerifyReport>,
-    Option<crate::trace::TraceReport>,
-)> {
-    let mut sys = System::from_ckpt(bytes)?;
-    let metrics = sys.run();
-    Ok((metrics, sys.kernel_stats(), sys.verify_report(), sys.trace_report()))
-}
-
 /// Resume a checkpointed run, pausing again at the first cycle
 /// `>= stop_at` (segmented execution: a run can hop across any number of
-/// processes).
+/// processes; `u64::MAX` runs it to completion). Verify and trace
+/// reports are present exactly when the checkpointed run had them on.
 ///
 /// # Errors
 ///
@@ -221,49 +141,10 @@ pub fn normalized_throughput(cfg: &RunConfig, baseline: &RunConfig, bench: &str)
     ws / ws_base
 }
 
-/// Run `f` for every (benchmark, config) pair across worker threads and
-/// return results in input order. Simulations are independent, so this is
-/// the safe coarse-grained parallelism the harness uses. The worker
-/// count honours `CWF_JOBS` (see [`crate::sweep::jobs`]).
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = crate::sweep::jobs();
-    let n = items.len();
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<R>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n.max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(&items[i]);
-                *slots[i].lock().expect("poisoned slot") = Some(r);
-            });
-        }
-    });
-    for (o, s) in out.iter_mut().zip(slots) {
-        *o = s.into_inner().expect("poisoned slot");
-    }
-    out.into_iter().map(|o| o.expect("every slot filled")).collect()
-}
-
-/// Memory kind of this run's `mem` field wrapped for `parallel_map` use.
-#[must_use]
-pub fn mem_of(metrics: &RunMetrics) -> MemKind {
-    metrics.mem
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MemKind;
 
     #[test]
     fn weighted_speedup_is_near_core_count_for_light_sharing() {
@@ -279,15 +160,5 @@ mod tests {
     #[should_panic(expected = "unknown benchmark")]
     fn unknown_benchmark_panics() {
         let _ = run_benchmark(&RunConfig::quick(MemKind::Ddr3, 10), "doom");
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let cfg = RunConfig::quick(MemKind::Ddr3, 150);
-        let items = vec!["stream", "mcf", "gobmk"];
-        let out = parallel_map(items.clone(), |b| run_benchmark(&cfg, b));
-        for (name, m) in items.iter().zip(&out) {
-            assert_eq!(*name, m.bench);
-        }
     }
 }

@@ -19,6 +19,10 @@
 //! The worker count comes from the `CWF_JOBS` environment variable
 //! (default: all available cores); [`run_cells_with`] takes it
 //! explicitly for tests that must not race on process-global state.
+//!
+//! [`ordered_map`] is the workspace's one scoped executor: sweeps run
+//! their cells through it, and the figure drivers in
+//! [`crate::experiments`] their per-benchmark tasks.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,7 +30,7 @@ use std::sync::Mutex;
 
 use crate::config::{MemKind, RunConfig};
 use crate::metrics::RunMetrics;
-use crate::runner::run_benchmark_diag;
+use crate::runner::run_benchmark_traced;
 use crate::system::KernelStats;
 
 /// One unit of sweep work: a benchmark under a configuration.
@@ -146,9 +150,36 @@ pub fn run_cells(cells: &[Cell]) -> Vec<CellResult> {
 /// results (see the module docs).
 #[must_use]
 pub fn run_cells_with(cells: &[Cell], workers: usize) -> Vec<CellResult> {
-    let n = cells.len();
+    ordered_map(cells, workers, |cell| {
+        // AssertUnwindSafe: the closure only touches the cell (read-only)
+        // and its own fresh System; a panic cannot leave shared state
+        // half-mutated.
+        match catch_unwind(AssertUnwindSafe(|| run_benchmark_traced(&cell.cfg, &cell.bench))) {
+            Ok((m, k, _, _)) => CellResult::Done(m, k),
+            Err(payload) => CellResult::Failed {
+                bench: cell.bench.clone(),
+                mem: cell.cfg.mem,
+                // `&*payload`, not `&payload`: the Box itself is `Any`
+                // and would shadow the payload.
+                error: panic_text(&*payload),
+            },
+        }
+    })
+}
+
+/// Apply `f` to every item across `workers` scoped threads (at least
+/// one, at most one per item) and return the results in input order.
+/// Workers claim the next unclaimed index from a shared counter, so an
+/// uneven mix of long and short items still keeps every worker busy.
+pub fn ordered_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let n = items.len();
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers.clamp(1, n.max(1)) {
             scope.spawn(|| loop {
@@ -156,23 +187,8 @@ pub fn run_cells_with(cells: &[Cell], workers: usize) -> Vec<CellResult> {
                 if i >= n {
                     break;
                 }
-                let cell = &cells[i];
-                // AssertUnwindSafe: the closure only touches the cell
-                // (read-only) and its own fresh System; a panic cannot
-                // leave shared state half-mutated.
-                let res = match catch_unwind(AssertUnwindSafe(|| {
-                    run_benchmark_diag(&cell.cfg, &cell.bench)
-                })) {
-                    Ok((m, k)) => CellResult::Done(m, k),
-                    Err(payload) => CellResult::Failed {
-                        bench: cell.bench.clone(),
-                        mem: cell.cfg.mem,
-                        // `&*payload`, not `&payload`: the Box itself is
-                        // `Any` and would shadow the payload.
-                        error: panic_text(&*payload),
-                    },
-                };
-                *slots[i].lock().expect("result slot poisoned") = Some(res);
+                let r = f(&items[i]);
+                *slots[i].lock().expect("result slot poisoned") = Some(r);
             });
         }
     });
@@ -183,7 +199,8 @@ pub fn run_cells_with(cells: &[Cell], workers: usize) -> Vec<CellResult> {
 }
 
 /// Render a panic payload (`&str` or `String` in practice) as text.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+#[must_use]
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -930,10 +930,11 @@ mod tests {
             let p = by_name("mcf").unwrap();
             let mut whole = System::new(&cfg, p);
             let m_whole = whole.run();
-            let j_whole = crate::report::to_json_verified(
+            let j_whole = crate::report::to_json_observed(
                 &m_whole,
                 &whole.kernel_stats(),
-                &whole.verify_report().unwrap(),
+                whole.verify_report().as_ref(),
+                None,
             );
 
             let split = whole.now() / 2;
@@ -942,10 +943,11 @@ mod tests {
             let blob = first.save_ckpt().expect("checkpoint serializes");
             let mut resumed = System::from_ckpt(&blob).expect("checkpoint restores");
             let m_res = resumed.run();
-            let j_res = crate::report::to_json_verified(
+            let j_res = crate::report::to_json_observed(
                 &m_res,
                 &resumed.kernel_stats(),
-                &resumed.verify_report().unwrap(),
+                resumed.verify_report().as_ref(),
+                None,
             );
             assert_eq!(j_whole, j_res, "kernel {kernel:?}");
         }

@@ -6,7 +6,7 @@
 use dram_timing::DeviceKind;
 use sim_harness::config::MemKind;
 use sim_harness::report::to_json;
-use sim_harness::{run_benchmark_diag, run_benchmark_verified, Kernel, RunConfig, System};
+use sim_harness::{run_benchmark_traced, Kernel, RunConfig, System};
 
 /// Three benches x six organizations (the legacy trio plus spec-layer
 /// DDR5/LPDDR4 and a heterogeneous DDR5 CWF pairing): every run under the
@@ -28,8 +28,8 @@ fn clean_runs_are_violation_free_and_metric_identical() {
             let mut off = on;
             off.verify = false;
 
-            let (m_on, k_on, report) = run_benchmark_verified(&on, bench);
-            let (m_off, k_off) = run_benchmark_diag(&off, bench);
+            let (m_on, k_on, report, _) = run_benchmark_traced(&on, bench);
+            let (m_off, k_off, _, _) = run_benchmark_traced(&off, bench);
 
             let report = report.expect("verify was enabled");
             assert!(report.is_clean(), "{bench}/{}: {:?}", kind.label(), report.violations);

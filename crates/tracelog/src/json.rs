@@ -1,10 +1,10 @@
-//! Minimal JSON support: string escaping for the exporter, a small
-//! recursive-descent parser, and structural validation of exported
-//! Chrome/Perfetto traces.
+//! The workspace's one JSON codec: the string escaper every hand-rolled
+//! writer uses, a small depth-capped recursive-descent parser ([`Json`]),
+//! and structural validation of exported Chrome/Perfetto traces.
 //!
 //! The build environment is offline, so no serde: this module
-//! implements just enough of RFC 8259 to round-trip the exporter's
-//! own output (and ordinary foreign JSON) for smoke validation.
+//! implements just enough of RFC 8259 to round-trip the workspace's own
+//! output, ordinary foreign JSON and `cwfmem serve` request bodies.
 
 use std::collections::BTreeMap;
 
@@ -27,9 +27,15 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// document the workspace writes (a `cwfmem.run.v1` bank entry) nests 5
+/// levels; the cap only exists so hostile input (`[[[[…`) is an `Err`
+/// instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -39,18 +45,36 @@ pub enum Value {
     /// A string.
     Str(String),
     /// An array.
-    Arr(Vec<Value>),
-    /// An object. Keys are sorted (BTreeMap); duplicate keys keep the
-    /// last occurrence.
-    Obj(BTreeMap<String, Value>),
+    Arr(Vec<Json>),
+    /// An object's members in source order (duplicates kept; [`Json::get`]
+    /// answers with the first).
+    Obj(Vec<(String, Json)>),
 }
 
-impl Value {
-    /// Object member lookup; `None` for non-objects/missing keys.
+impl Json {
+    /// Parse a complete JSON document.
+    ///
+    /// # Errors
+    /// Returns a message with the byte offset of the first syntax error,
+    /// on nesting deeper than [`MAX_DEPTH`], or on trailing garbage after
+    /// the top-level value.
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let b = text.as_bytes();
+        let mut p = Parser { b, i: 0, depth: 0 };
+        let v = p.value()?;
+        p.skip_ws();
+        if p.i != b.len() {
+            return Err(format!("trailing data at byte {}", p.i));
+        }
+        Ok(v)
+    }
+
+    /// Object member lookup (the first occurrence of `key`); `None` for
+    /// non-objects and missing keys.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Value::Obj(m) => m.get(key),
+            Json::Obj(m) => m.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -59,7 +83,18 @@ impl Value {
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Num(n) => Some(*n),
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as an integer, if this is a whole number in `0..=2^53`
+    /// (the range an `f64` holds exactly).
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }
     }
@@ -68,41 +103,35 @@ impl Value {
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The boolean value, if this is a boolean.
+    #[must_use]
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
 
     /// The elements, if this is an array.
     #[must_use]
-    pub fn as_arr(&self) -> Option<&[Value]> {
+    pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
-            Value::Arr(v) => Some(v),
+            Json::Arr(v) => Some(v),
             _ => None,
         }
     }
 }
 
-/// Parse a complete JSON document.
-///
-/// # Errors
-/// Returns a message with the byte offset of the first syntax error,
-/// or on trailing garbage after the top-level value.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let b = text.as_bytes();
-    let mut p = Parser { b, i: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.i != b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(v)
-}
-
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -116,21 +145,31 @@ impl Parser<'_> {
         Err(format!("{what} at byte {}", self.i))
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                self.err(&format!("nesting deeper than {MAX_DEPTH} levels"))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
             Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
             _ => self.err("expected a JSON value"),
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
+    /// Parse one array or object one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
+    }
+    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
         if self.b[self.i..].starts_with(lit.as_bytes()) {
             self.i += lit.len();
             Ok(v)
@@ -139,7 +178,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<Json, String> {
         let start = self.i;
         if self.b.get(self.i) == Some(&b'-') {
             self.i += 1;
@@ -152,7 +191,7 @@ impl Parser<'_> {
             self.i += 1;
         }
         let s = std::str::from_utf8(&self.b[start..self.i]).map_err(|e| e.to_string())?;
-        s.parse::<f64>().map(Value::Num).map_err(|_| format!("bad number at byte {start}"))
+        s.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number at byte {start}"))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -219,13 +258,13 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self) -> Result<Json, String> {
         self.i += 1; // '['
         let mut out = Vec::new();
         self.skip_ws();
         if self.b.get(self.i) == Some(&b']') {
             self.i += 1;
-            return Ok(Value::Arr(out));
+            return Ok(Json::Arr(out));
         }
         loop {
             out.push(self.value()?);
@@ -236,20 +275,20 @@ impl Parser<'_> {
                 }
                 Some(b']') => {
                     self.i += 1;
-                    return Ok(Value::Arr(out));
+                    return Ok(Json::Arr(out));
                 }
                 _ => return self.err("expected ',' or ']'"),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self) -> Result<Json, String> {
         self.i += 1; // '{'
-        let mut out = BTreeMap::new();
+        let mut out = Vec::new();
         self.skip_ws();
         if self.b.get(self.i) == Some(&b'}') {
             self.i += 1;
-            return Ok(Value::Obj(out));
+            return Ok(Json::Obj(out));
         }
         loop {
             self.skip_ws();
@@ -263,7 +302,7 @@ impl Parser<'_> {
             }
             self.i += 1;
             let v = self.value()?;
-            out.insert(key, v);
+            out.push((key, v));
             self.skip_ws();
             match self.b.get(self.i) {
                 Some(b',') => {
@@ -271,7 +310,7 @@ impl Parser<'_> {
                 }
                 Some(b'}') => {
                     self.i += 1;
-                    return Ok(Value::Obj(out));
+                    return Ok(Json::Obj(out));
                 }
                 _ => return self.err("expected ',' or '}'"),
             }
@@ -298,41 +337,41 @@ pub struct ChromeTraceCheck {
 /// # Errors
 /// Returns a description of the first violation found.
 pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceCheck, String> {
-    let doc = parse(text)?;
+    let doc = Json::parse(text)?;
     let events = doc
         .get("traceEvents")
-        .and_then(Value::as_arr)
+        .and_then(Json::as_arr)
         .ok_or_else(|| "missing \"traceEvents\" array".to_string())?;
     let mut last_ts: BTreeMap<(u64, u64), f64> = BTreeMap::new();
     let mut metadata = 0usize;
     for (i, ev) in events.iter().enumerate() {
         let ph = ev
             .get("ph")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i}: missing \"ph\""))?;
         let pid = ev
             .get("pid")
-            .and_then(Value::as_f64)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i}: missing \"pid\""))?;
         let tid = ev
             .get("tid")
-            .and_then(Value::as_f64)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i}: missing \"tid\""))?;
         if ph == "M" {
             metadata += 1;
             continue;
         }
-        if ev.get("name").and_then(Value::as_str).is_none() {
+        if ev.get("name").and_then(Json::as_str).is_none() {
             return Err(format!("event {i}: missing \"name\""));
         }
         let ts = ev
             .get("ts")
-            .and_then(Value::as_f64)
+            .and_then(Json::as_f64)
             .ok_or_else(|| format!("event {i}: missing \"ts\""))?;
         if !ts.is_finite() || ts < 0.0 {
             return Err(format!("event {i}: non-finite or negative ts"));
         }
-        if ph == "X" && ev.get("dur").and_then(Value::as_f64).is_none() {
+        if ph == "X" && ev.get("dur").and_then(Json::as_f64).is_none() {
             return Err(format!("event {i}: complete event missing \"dur\""));
         }
         let key = (pid as u64, tid as u64);
@@ -361,18 +400,37 @@ mod tests {
 
     #[test]
     fn parse_round_trip() {
-        let v = parse(r#"{"a": [1, -2.5, "x\ny", true, null], "b": {}}"#).unwrap();
+        let v = Json::parse(r#"{"a": [1, -2.5, "x\ny", true, null], "b": {}}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 5);
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_f64(), Some(1.0));
-        assert_eq!(v.get("b"), Some(&Value::Obj(BTreeMap::new())));
+        assert_eq!(v.get("b"), Some(&Json::Obj(Vec::new())));
+        let v = Json::parse(r#"{"k": 1, "k": 2, "t": true}"#).unwrap();
+        assert_eq!(v.get("k").and_then(Json::as_u64), Some(1), "first key wins");
+        assert_eq!(v.get("t").and_then(Json::as_bool), Some(true));
+        assert!(v.get("missing").is_none());
+        let v = Json::parse(r#""a\"b\\c\nd é héllo""#).unwrap();
+        assert_eq!(v.as_str(), Some("a\"b\\c\nd é héllo"));
+    }
+
+    #[test]
+    fn integers_stop_at_2_pow_53() {
+        assert_eq!(Json::parse("1e3").unwrap().as_u64(), Some(1000));
+        assert_eq!(Json::parse("9007199254740992").unwrap().as_u64(), Some(1 << 53));
+        for n in ["-1", "1.5", "9007199254740994", "18446744073709551615"] {
+            assert_eq!(Json::parse(n).unwrap().as_u64(), None, "{n}");
+        }
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{} x").is_err());
-        assert!(parse("nul").is_err());
+        let deep_arr = "[".repeat(200_000);
+        let deep_obj = "{\"a\":".repeat(200_000);
+        for bad in ["{", "[1,]", "{} x", "nul", "\"unterminated", &deep_arr, &deep_obj] {
+            assert!(Json::parse(bad).is_err(), "{}", &bad[..bad.len().min(20)]);
+        }
+        assert!(Json::parse(&deep_obj).unwrap_err().contains("nesting"));
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
     }
 
     #[test]

@@ -19,9 +19,7 @@ use cwfmem::sim::experiments::{
     fig2_power_utilization, fig3_line_profiles, fig4_critical_word_distribution, fig6_7_8_cwf,
     fig9_placement,
 };
-use cwfmem::sim::{
-    run_benchmark, run_benchmark_traced, run_benchmark_traced_with_backend, Kernel, RunConfig,
-};
+use cwfmem::sim::{run_benchmark, Kernel, RunConfig, System};
 use cwfmem::speclint::{lint_specs, scorecard_json, Diagnostic, SpecLintReport};
 use cwfmem::workloads::suite;
 
@@ -325,101 +323,99 @@ fn build_config(args: &[String]) -> RunConfig {
     cfg
 }
 
-/// Print a run's outcome for the checkpoint paths (`run --ckpt-at` that
-/// finished early, and `resume`): the `cwfmem.run.v1` document under
-/// `--json`, a compact summary otherwise. The document selection mirrors
-/// `cmd_run` exactly (trace ⊃ verify ⊃ diag), so a split run's output is
-/// byte-identical to the unsplit run's. Exits nonzero on an unclean
-/// oracle report, mirroring `cmd_run`.
-fn emit_run_outcome(
-    json: bool,
-    m: &cwfmem::sim::RunMetrics,
-    kstats: &cwfmem::sim::KernelStats,
-    verify: Option<&cwfmem::sim::VerifyReport>,
-    trace: Option<&cwfmem::sim::TraceReport>,
-) {
-    if json {
-        match (verify, trace) {
-            (v, Some(t)) => print!("{}", cwfmem::sim::report::to_json_traced(m, kstats, v, t)),
-            (Some(v), None) => print!("{}", cwfmem::sim::report::to_json_verified(m, kstats, v)),
-            (None, None) => print!("{}", cwfmem::sim::report::to_json_diag(m, kstats)),
-        }
-    } else {
-        println!(
-            "{} on {} ({} reads): IPC {:.3}, critical-word latency {:.1} ns, kernel {}",
-            m.mem.label(),
-            m.bench,
-            m.dram_reads,
-            m.ipc_total(),
-            m.avg_cw_latency_ns(),
-            kstats.kernel.name()
-        );
-        if let Some(v) = verify {
-            if v.is_clean() {
-                println!("  verify clean ({} commands checked)", v.commands_checked);
-            } else {
-                println!("  verify: {} violation(s)", v.total_violations);
-            }
-        }
-        if let Some(t) = trace {
-            println!(
-                "  trace: {} events ({} dropped), {} reads decomposed",
-                t.events.len(),
-                t.dropped,
-                t.summary.reads
-            );
-        }
-    }
-    if let Some(v) = verify {
-        if !v.is_clean() {
-            eprintln!("verify: {} violation(s) detected", v.total_violations);
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Handle a [`cwfmem::sim::CkptOutcome`]: write the checkpoint when the
-/// run paused, otherwise report the finished run.
-fn emit_ckpt_outcome(outcome: cwfmem::sim::CkptOutcome, out_path: &str, at: u64, json: bool) {
-    match outcome {
-        cwfmem::sim::CkptOutcome::Paused { ckpt } => {
-            if let Err(e) = std::fs::write(out_path, &ckpt) {
-                eprintln!("cannot write checkpoint {out_path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!(
-                "checkpoint at cycle {at}: wrote {} bytes (cwfmem.ckpt.v1) to {out_path}",
-                ckpt.len(),
-            );
-        }
-        cwfmem::sim::CkptOutcome::Finished { metrics, kernel, verify, trace } => {
-            eprintln!("run finished before cycle {at}; no checkpoint written");
-            emit_run_outcome(json, &metrics, &kernel, verify.as_ref(), trace.as_ref());
-        }
-    }
-}
-
-/// `run --ckpt-at <cycle> --ckpt-out <file>` — run until the target
-/// cycle, then serialize the whole simulator to a `cwfmem.ckpt.v1` file
-/// (or finish normally if the run completes first).
-fn cmd_run_ckpt(args: &[String], cfg: &RunConfig, at: u64) {
-    let Some(out_path) = arg_value(args, "--ckpt-out") else {
+/// Parse `--ckpt-at <cycle> --ckpt-out <file>`, when given.
+fn ckpt_args(args: &[String]) -> Option<(u64, String)> {
+    let at = arg_value(args, "--ckpt-at")?;
+    let at: u64 = at.parse().unwrap_or_else(|_| {
+        eprintln!("--ckpt-at needs a cycle number");
+        usage()
+    });
+    let Some(out) = arg_value(args, "--ckpt-out") else {
         eprintln!("--ckpt-at needs --ckpt-out <file>");
         usage()
     };
-    if arg_value(args, "--replay").is_some()
-        || arg_value(args, "--spec").filter(|v| spec_is_path(v)).is_some()
-    {
-        eprintln!("--ckpt-at supports built-in benchmarks and embedded specs only");
-        std::process::exit(1);
-    }
-    let bench = arg_value(args, "--bench").unwrap_or_else(|| "leslie3d".into());
-    match cwfmem::sim::run_benchmark_ckpt(cfg, &bench, at) {
-        Ok(outcome) => {
-            emit_ckpt_outcome(outcome, &out_path, at, args.iter().any(|a| a == "--json"));
+    Some((at, out))
+}
+
+/// An observer's report as the output shows it: `--no-<name>` drops it,
+/// and `--<name>` demands it. Only a restored run can lack a demanded
+/// report (`run` turns the observer on from the flag): observability
+/// cannot be conjured mid-run — the first half of the evidence is gone.
+fn observed<T>(args: &[String], name: &str, report: Option<T>) -> Option<T> {
+    if args.iter().any(|a| *a == format!("--{name}")) {
+        if report.is_none() {
+            eprintln!(
+                "cannot enable {name} on resume: the checkpointed run had it off \
+                 (re-run with --{name} from the start)"
+            );
+            std::process::exit(1);
         }
-        Err(e) => {
-            eprintln!("{e}");
+        report
+    } else if args.iter().any(|a| *a == format!("--no-{name}")) {
+        None
+    } else {
+        report
+    }
+}
+
+/// The tail `run` and `resume` share: carry `sys` to the `--ckpt-at`
+/// cycle (writing the checkpoint) or to the end of the run, then write the
+/// `--trace` file and print the outcome — the `cwfmem.run.v1` document
+/// under `--json`, the text summary otherwise. A split run's output is
+/// byte-identical to the unsplit run's. Exits nonzero on an unclean
+/// oracle report (CI runs `--verify` and relies on the exit status).
+fn finish_run(args: &[String], mut sys: System, ckpt: Option<(u64, String)>) {
+    let trace_out = args.iter().any(|a| a == "--trace").then(|| match arg_value(args, "--trace") {
+        Some(p) if !p.starts_with("--") => p,
+        _ => {
+            eprintln!("--trace needs an output path (e.g. --trace trace.json)");
+            usage()
+        }
+    });
+    let Some(m) = sys.run_to_cycle(ckpt.as_ref().map_or(u64::MAX, |c| c.0)) else {
+        let (at, out) = ckpt.expect("only a --ckpt-at run pauses");
+        let ckpt = sys.save_ckpt().unwrap_or_else(|e| {
+            eprintln!("cannot checkpoint: {e}");
+            std::process::exit(1)
+        });
+        if let Err(e) = std::fs::write(&out, &ckpt) {
+            eprintln!("cannot write checkpoint {out}: {e}");
+            std::process::exit(1);
+        }
+        eprintln!("checkpoint at cycle {at}: wrote {} bytes (cwfmem.ckpt.v1) to {out}", ckpt.len());
+        return;
+    };
+    if let Some((at, _)) = ckpt {
+        eprintln!("run finished before cycle {at}; no checkpoint written");
+    }
+    let kstats = sys.kernel_stats();
+    let verify = observed(args, "verify", sys.verify_report());
+    let trace = observed(args, "trace", sys.trace_report());
+    if let (Some(path), Some(t)) = (&trace_out, &trace) {
+        if let Err(e) = std::fs::write(path, t.perfetto_json()) {
+            eprintln!("cannot write trace {path}: {e}");
+            std::process::exit(1);
+        }
+        eprintln!(
+            "wrote Perfetto trace to {path} ({} events, {} dropped); open at ui.perfetto.dev",
+            t.events.len(),
+            t.dropped
+        );
+    }
+    if args.iter().any(|a| a == "--json") {
+        // The sweep's structured schema (`cwfmem.run.v1`), one document,
+        // plus the additive kernel (and, under `--verify`/`--trace`,
+        // oracle and trace) diagnostics objects.
+        print!(
+            "{}",
+            cwfmem::sim::report::to_json_observed(&m, &kstats, verify.as_ref(), trace.as_ref())
+        );
+    } else {
+        print_summary(&m, &kstats, verify.as_ref(), trace.as_ref());
+    }
+    if let Some(v) = &verify {
+        if !v.is_clean() {
+            eprintln!("verify: {} violation(s) detected", v.total_violations);
             std::process::exit(1);
         }
     }
@@ -431,76 +427,17 @@ fn cmd_run_ckpt(args: &[String], cfg: &RunConfig, at: u64) {
 /// come back with it: a `--verify --trace` checkpoint resumes with the
 /// oracle's books and the trace ring intact, so the final verify/trace
 /// JSON objects match the unsplit run's.
-///
-/// `--no-verify`/`--no-trace` suppress the corresponding report on
-/// output; `--verify`/`--trace <out.json>` demand one, and fail loudly
-/// when the checkpointed run never collected it (observability cannot be
-/// conjured mid-run — the first half of the evidence is gone).
 fn cmd_resume(args: &[String]) {
     let Some(path) = args.first().filter(|p| !p.starts_with("--")) else { usage() };
     let bytes = std::fs::read(path).unwrap_or_else(|e| {
         eprintln!("cannot read checkpoint {path}: {e}");
         std::process::exit(1)
     });
-    let json = args.iter().any(|a| a == "--json");
-    if let Some(at) = arg_value(args, "--ckpt-at") {
-        let at: u64 = at.parse().unwrap_or_else(|_| {
-            eprintln!("--ckpt-at needs a cycle number");
-            usage()
-        });
-        let Some(out_path) = arg_value(args, "--ckpt-out") else {
-            eprintln!("--ckpt-at needs --ckpt-out <file>");
-            usage()
-        };
-        match cwfmem::sim::resume_benchmark_to_cycle(&bytes, at) {
-            Ok(outcome) => emit_ckpt_outcome(outcome, &out_path, at, json),
-            Err(e) => {
-                eprintln!("cannot resume {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let (m, kstats, mut verify, mut trace) = match cwfmem::sim::resume_benchmark(&bytes) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("cannot resume {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if args.iter().any(|a| a == "--verify") && verify.is_none() {
-        eprintln!(
-            "cannot enable verify on resume: the checkpointed run had the oracle off \
-             (re-run with --verify from the start)"
-        );
-        std::process::exit(1);
-    }
-    if args.iter().any(|a| a == "--no-verify") {
-        verify = None;
-    }
-    let trace_out = arg_value(args, "--trace").filter(|p| !p.starts_with("--"));
-    if args.iter().any(|a| a == "--trace") && trace.is_none() {
-        eprintln!(
-            "cannot enable tracing on resume: the checkpointed run had tracing off \
-             (re-run with --trace from the start)"
-        );
-        std::process::exit(1);
-    }
-    if args.iter().any(|a| a == "--no-trace") {
-        trace = None;
-    }
-    if let (Some(out), Some(t)) = (&trace_out, &trace) {
-        if let Err(e) = std::fs::write(out, t.perfetto_json()) {
-            eprintln!("cannot write trace {out}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote Perfetto trace to {out} ({} events, {} dropped); open at ui.perfetto.dev",
-            t.events.len(),
-            t.dropped
-        );
-    }
-    emit_run_outcome(json, &m, &kstats, verify.as_ref(), trace.as_ref());
+    let sys = System::from_ckpt(&bytes).unwrap_or_else(|e| {
+        eprintln!("cannot resume {path}: {e}");
+        std::process::exit(1)
+    });
+    finish_run(args, sys, ckpt_args(args));
 }
 
 /// `serve [--bind <addr:port>] [--workers N]` — the sweep HTTP server
@@ -525,27 +462,21 @@ fn cmd_serve(args: &[String]) {
     eprintln!("cwfmem serve: stopped");
 }
 
+/// `run` — build the system for a suite benchmark (`--bench`), a
+/// file-backed device spec (`--spec file.toml`) or an external trace
+/// (`--replay`), then hand it to [`finish_run`]. `--ckpt-at <cycle>
+/// --ckpt-out <file>` pauses the run there and serializes the whole
+/// simulator to a `cwfmem.ckpt.v1` file.
 fn cmd_run(args: &[String]) {
     let cfg = build_config(args);
-    if let Some(at) = arg_value(args, "--ckpt-at") {
-        let at: u64 = at.parse().unwrap_or_else(|_| {
-            eprintln!("--ckpt-at needs a cycle number");
-            usage()
-        });
-        cmd_run_ckpt(args, &cfg, at);
-        return;
+    let ckpt = ckpt_args(args);
+    let replay = arg_value(args, "--replay");
+    let spec_file = arg_value(args, "--spec").filter(|v| spec_is_path(v));
+    if ckpt.is_some() && (replay.is_some() || spec_file.is_some()) {
+        eprintln!("--ckpt-at supports built-in benchmarks and embedded specs only");
+        std::process::exit(1);
     }
-    let trace_out = arg_value(args, "--trace");
-    if cfg.trace && args.iter().any(|a| a == "--trace") {
-        match &trace_out {
-            Some(p) if !p.starts_with("--") => {}
-            _ => {
-                eprintln!("--trace needs an output path (e.g. --trace trace.json)");
-                usage()
-            }
-        }
-    }
-    let (m, kstats, verify, trace) = if let Some(replay) = arg_value(args, "--replay") {
+    let sys = if let Some(replay) = replay {
         // Replay an external trace, phase-shifted per core (see `dump-trace`).
         use cwfmem::sim::system::BoxedTrace;
         use cwfmem::workloads::FileTraceSource;
@@ -562,12 +493,14 @@ fn cmd_run(args: &[String]) {
             .map(|i| Box::new(src.clone().starting_at(i * src.len() / n)) as BoxedTrace)
             .collect();
         let backend = cfg.mem.build(cfg.parity_error_rate, cfg.seed);
-        let mut sys = cwfmem::sim::System::with_trace_sources(&cfg, &replay, sources, backend);
-        let m = sys.run();
-        (m, sys.kernel_stats(), sys.verify_report(), sys.trace_report())
+        System::with_trace_sources(&cfg, &replay, sources, backend)
     } else {
         let bench = arg_value(args, "--bench").unwrap_or_else(|| "leslie3d".into());
-        match arg_value(args, "--spec").filter(|v| spec_is_path(v)) {
+        let Some(profile) = cwfmem::workloads::by_name(&bench) else {
+            eprintln!("unknown benchmark '{bench}'");
+            usage()
+        };
+        match spec_file {
             Some(path) => {
                 // A file-backed spec: build the homogeneous backend from
                 // the parsed config (baseline topology; single-command
@@ -584,98 +517,77 @@ fn cmd_run(args: &[String]) {
                     chips,
                     cwfmem::memctrl::CtrlParams::default(),
                 ));
-                run_benchmark_traced_with_backend(&cfg, &bench, backend)
+                System::with_backend(&cfg, profile, backend)
             }
-            None => run_benchmark_traced(&cfg, &bench),
+            None => System::new(&cfg, profile),
         }
     };
-    if let (Some(path), Some(t)) = (&trace_out, &trace) {
-        if let Err(e) = std::fs::write(path, t.perfetto_json()) {
-            eprintln!("cannot write trace {path}: {e}");
-            std::process::exit(1);
+    finish_run(args, sys, ckpt);
+}
+
+/// The text summary of a finished run.
+fn print_summary(
+    m: &cwfmem::sim::RunMetrics,
+    kstats: &cwfmem::sim::KernelStats,
+    verify: Option<&cwfmem::sim::VerifyReport>,
+    trace: Option<&cwfmem::sim::TraceReport>,
+) {
+    let cores = m.insts_per_core.len();
+    println!("{} on {} ({cores} cores, {} reads):", m.mem.label(), m.bench, m.dram_reads);
+    println!("  IPC (aggregate)        {:.3}", m.ipc_total());
+    println!("  critical-word latency  {:.1} ns", m.avg_cw_latency_ns());
+    println!(
+        "  DRAM read latency      {:.1} ns (queue {:.1} + service {:.1})",
+        m.avg_read_latency_ns(),
+        m.mem_stats.avg_queue_ns(),
+        m.mem_stats.avg_service_ns()
+    );
+    println!("  bus utilization        {:.1}%", m.bus_utilization() * 100.0);
+    println!("  row-buffer hit rate    {:.1}%", m.row_hit_rate() * 100.0);
+    println!("  DRAM power             {:.2} W", m.dram_power_w(LpddrIo::ServerAdapted));
+    if let Some(c) = m.cwf {
+        println!("  critical served fast   {:.1}%", c.served_fast_fraction() * 100.0);
+        println!("  fast-part head start   {:.0} CPU cycles", c.avg_head_start());
+    }
+    println!(
+        "  kernel                 {} ({:.1}x cycles per mem tick, {:.1}x per core tick)",
+        kstats.kernel.name(),
+        kstats.tick_ratio(),
+        kstats.core_tick_ratio()
+    );
+    let spans = kstats.core_span_cycles();
+    if spans > 0 {
+        let pc = |x: u64| 100.0 * x as f64 / spans as f64;
+        println!(
+            "  core spans             {spans} cycles batched \
+             (stall {:.0}%, wait {:.0}%, cruise {:.0}%, replay {:.0}%)",
+            pc(kstats.core_stall_cycles),
+            pc(kstats.core_wait_cycles),
+            pc(kstats.core_cruise_cycles),
+            pc(kstats.core_replay_cycles)
+        );
+    }
+    if let Some(v) = verify {
+        if v.is_clean() {
+            println!(
+                "  verify                 clean ({} commands, {} events, {} core spans checked)",
+                v.commands_checked, v.events_checked, v.core_spans
+            );
+        } else {
+            println!(
+                "  verify                 {} violation(s); first: {}",
+                v.total_violations,
+                v.violations.first().map_or_else(String::new, ToString::to_string)
+            );
         }
-        eprintln!(
-            "wrote Perfetto trace to {path} ({} events, {} dropped); open at ui.perfetto.dev",
+    }
+    if let Some(t) = trace {
+        println!(
+            "  trace                  {} events ({} dropped), {} reads decomposed",
             t.events.len(),
-            t.dropped
+            t.dropped,
+            t.summary.reads
         );
-    }
-    if args.iter().any(|a| a == "--json") {
-        // The sweep's structured schema (`cwfmem.run.v1`), one document,
-        // plus the additive kernel (and, under `--verify`/`--trace`,
-        // oracle and trace) diagnostics objects.
-        match (&verify, &trace) {
-            (v, Some(t)) => {
-                print!("{}", cwfmem::sim::report::to_json_traced(&m, &kstats, v.as_ref(), t));
-            }
-            (Some(v), None) => print!("{}", cwfmem::sim::report::to_json_verified(&m, &kstats, v)),
-            (None, None) => print!("{}", cwfmem::sim::report::to_json_diag(&m, &kstats)),
-        }
-    } else {
-        println!("{} on {} ({} cores, {} reads):", m.mem.label(), m.bench, cfg.cores, m.dram_reads);
-        println!("  IPC (aggregate)        {:.3}", m.ipc_total());
-        println!("  critical-word latency  {:.1} ns", m.avg_cw_latency_ns());
-        println!(
-            "  DRAM read latency      {:.1} ns (queue {:.1} + service {:.1})",
-            m.avg_read_latency_ns(),
-            m.mem_stats.avg_queue_ns(),
-            m.mem_stats.avg_service_ns()
-        );
-        println!("  bus utilization        {:.1}%", m.bus_utilization() * 100.0);
-        println!("  row-buffer hit rate    {:.1}%", m.row_hit_rate() * 100.0);
-        println!("  DRAM power             {:.2} W", m.dram_power_w(LpddrIo::ServerAdapted));
-        if let Some(c) = m.cwf {
-            println!("  critical served fast   {:.1}%", c.served_fast_fraction() * 100.0);
-            println!("  fast-part head start   {:.0} CPU cycles", c.avg_head_start());
-        }
-        println!(
-            "  kernel                 {} ({:.1}x cycles per mem tick, {:.1}x per core tick)",
-            kstats.kernel.name(),
-            kstats.tick_ratio(),
-            kstats.core_tick_ratio()
-        );
-        let spans = kstats.core_span_cycles();
-        if spans > 0 {
-            let pc = |x: u64| 100.0 * x as f64 / spans as f64;
-            println!(
-                "  core spans             {spans} cycles batched \
-                 (stall {:.0}%, wait {:.0}%, cruise {:.0}%, replay {:.0}%)",
-                pc(kstats.core_stall_cycles),
-                pc(kstats.core_wait_cycles),
-                pc(kstats.core_cruise_cycles),
-                pc(kstats.core_replay_cycles)
-            );
-        }
-        if let Some(v) = &verify {
-            if v.is_clean() {
-                println!(
-                    "  verify                 clean ({} commands, {} events, {} core spans checked)",
-                    v.commands_checked, v.events_checked, v.core_spans
-                );
-            } else {
-                println!(
-                    "  verify                 {} violation(s); first: {}",
-                    v.total_violations,
-                    v.violations.first().map_or_else(String::new, ToString::to_string)
-                );
-            }
-        }
-        if let Some(t) = &trace {
-            println!(
-                "  trace                  {} events ({} dropped), {} reads decomposed",
-                t.events.len(),
-                t.dropped,
-                t.summary.reads
-            );
-        }
-    }
-    // An unclean oracle report is a failure (CI runs `--verify` and relies
-    // on the exit status).
-    if let Some(v) = &verify {
-        if !v.is_clean() {
-            eprintln!("verify: {} violation(s) detected", v.total_violations);
-            std::process::exit(1);
-        }
     }
 }
 

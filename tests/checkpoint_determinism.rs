@@ -6,8 +6,8 @@
 //! splits inside the warm-up window), with the verify oracle on.
 
 use cwfmem::sim::config::MemKind;
-use cwfmem::sim::report::{to_json_traced, to_json_verified};
-use cwfmem::sim::{resume_benchmark, run_benchmark_ckpt, CkptOutcome, Kernel, RunConfig};
+use cwfmem::sim::report::to_json_observed;
+use cwfmem::sim::{resume_benchmark_to_cycle, run_benchmark_ckpt, CkptOutcome, Kernel, RunConfig};
 use proptest::prelude::*;
 
 const BENCHES: [&str; 4] = ["mcf", "stream", "libquantum", "leslie3d"];
@@ -16,10 +16,10 @@ const KINDS: [MemKind; 4] = [MemKind::Rl, MemKind::Ddr3, MemKind::RlAdaptive, Me
 /// Render a finished outcome as its verified run document.
 fn doc(outcome: CkptOutcome) -> String {
     match outcome {
-        CkptOutcome::Finished { metrics, kernel, verify, trace: _ } => {
+        CkptOutcome::Finished { metrics, kernel, verify, trace } => {
             let v = verify.expect("verify was enabled");
             assert!(v.is_clean(), "oracle must stay clean: {:?}", v.violations.first());
-            to_json_verified(&metrics, &kernel, &v)
+            to_json_observed(&metrics, &kernel, Some(&v), trace.as_ref())
         }
         CkptOutcome::Paused { .. } => panic!("run did not finish"),
     }
@@ -43,7 +43,7 @@ fn resume_with_verify_and_trace_matches_unsplit_run() {
             let t = trace.expect("trace on");
             assert!(v.is_clean(), "oracle must stay clean: {:?}", v.violations.first());
             assert!(!t.events.is_empty(), "traced run collects events");
-            to_json_traced(&metrics, &kernel, Some(&v), &t)
+            to_json_observed(&metrics, &kernel, Some(&v), Some(&t))
         }
         CkptOutcome::Paused { .. } => panic!("unbounded run must finish"),
     };
@@ -58,11 +58,15 @@ fn resume_with_verify_and_trace_matches_unsplit_run() {
             CkptOutcome::Paused { ckpt } => ckpt,
             CkptOutcome::Finished { .. } => panic!("split at {split_pct}% must pause"),
         };
-        let (m, k, v, t) = resume_benchmark(&ckpt).expect("resume");
+        let CkptOutcome::Finished { metrics: m, kernel: k, verify: v, trace: t } =
+            resume_benchmark_to_cycle(&ckpt, u64::MAX).expect("resume")
+        else {
+            panic!("an unbounded resume must finish")
+        };
         let v = v.expect("verify survives the checkpoint");
         let t = t.expect("trace survives the checkpoint");
         assert!(v.is_clean());
-        let resumed = to_json_traced(&m, &k, Some(&v), &t);
+        let resumed = to_json_observed(&m, &k, Some(&v), Some(&t));
         assert_eq!(whole, resumed, "split at {split_pct}% diverged");
     }
 }
@@ -92,11 +96,13 @@ proptest! {
 
         match run_benchmark_ckpt(&cfg, bench, stop_at).expect("segmented run") {
             CkptOutcome::Paused { ckpt } => {
-                let (m, k, v, t) = resume_benchmark(&ckpt).expect("resume");
-                let v = v.expect("verify survives the checkpoint");
+                let resumed = resume_benchmark_to_cycle(&ckpt, u64::MAX).expect("resume");
+                let CkptOutcome::Finished { verify: v, trace: t, .. } = &resumed else {
+                    panic!("an unbounded resume must finish")
+                };
+                prop_assert!(v.is_some(), "verify survives the checkpoint");
                 prop_assert!(t.is_none(), "tracing was off");
-                prop_assert!(v.is_clean());
-                let resumed = to_json_verified(&m, &k, &v);
+                let resumed = doc(resumed);
                 prop_assert_eq!(&whole, &resumed, "split at cycle {} diverged", stop_at);
             }
             // stop_at landed at or past the natural end: the segmented

@@ -1,6 +1,7 @@
 //! CLI regression: `cwfmem sweep` must exit nonzero when any cell
 //! panics (CI relies on the exit status to catch silently broken grids)
-//! and zero when the grid completes.
+//! and zero when the grid completes. Hostile or mistyped input to the
+//! other subcommands must end in an error exit, never an abort.
 
 use std::process::Command;
 
@@ -56,4 +57,25 @@ fn sweep_exits_zero_when_all_cells_complete() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "clean sweep must exit zero; stderr: {stderr}");
     assert!(!stderr.contains("failed"), "stderr: {stderr}");
+}
+
+#[test]
+fn trace_check_rejects_a_nesting_attack() {
+    // 200 000 unclosed brackets: the parser's depth cap must reject them
+    // before they exhaust its stack.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("deep.json");
+    std::fs::write(&path, "[".repeat(200_000)).expect("write deep file");
+    let out = cwfmem().arg("trace-check").arg(&path).output().expect("run cwfmem");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("INVALID"), "stderr: {stderr}");
+}
+
+#[test]
+fn run_with_an_unknown_bench_is_a_usage_error() {
+    let out = cwfmem().args(["run", "--bench", "no-such-bench"]).output().expect("run cwfmem");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("unknown benchmark 'no-such-bench'"), "stderr: {stderr}");
+    assert!(stderr.contains("usage:"), "stderr: {stderr}");
 }
