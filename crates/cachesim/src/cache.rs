@@ -65,6 +65,10 @@ pub struct LineMeta {
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheCfg,
+    /// `log2(sets)` when `sets` is a power of two (the paper's 256-set L1
+    /// and 8192-set L2): indexing is then a mask and a shift instead of a
+    /// runtime division. `None` falls back to `%` and `/`.
+    set_shift: Option<u32>,
     /// Tag of each way, `set * ways + way` packed; garbage where invalid.
     tags: Vec<u64>,
     /// LRU stamp of each way, same indexing.
@@ -92,6 +96,7 @@ impl Cache {
         let slots = (cfg.sets * cfg.ways) as usize;
         Cache {
             cfg,
+            set_shift: cfg.sets.is_power_of_two().then(|| cfg.sets.trailing_zeros()),
             tags: vec![0; slots],
             stamps: vec![0; slots],
             metas: vec![LineMeta::default(); slots],
@@ -103,12 +108,18 @@ impl Cache {
 
     #[inline]
     fn set_of(&self, line: u64) -> usize {
-        (line % u64::from(self.cfg.sets)) as usize
+        match self.set_shift {
+            Some(_) => (line & (u64::from(self.cfg.sets) - 1)) as usize,
+            None => (line % u64::from(self.cfg.sets)) as usize,
+        }
     }
 
     #[inline]
     fn tag(&self, line: u64) -> u64 {
-        line / u64::from(self.cfg.sets)
+        match self.set_shift {
+            Some(shift) => line >> shift,
+            None => line / u64::from(self.cfg.sets),
+        }
     }
 
     /// Index of the way holding `tag` in `set`, if resident.
@@ -357,7 +368,7 @@ impl Cache {
     /// valid bitmap, occupancy, LRU clock). `CacheCfg` is rebuilt on
     /// restore.
     pub fn save_state(&self, w: &mut cwf_ckpt::Writer) {
-        let Cache { cfg: _, tags, stamps, metas, valid, live, clock } = self;
+        let Cache { cfg: _, set_shift: _, tags, stamps, metas, valid, live, clock } = self;
         w.section(b"CACH");
         cwf_ckpt::Ckpt::save(tags, w);
         cwf_ckpt::Ckpt::save(stamps, w);

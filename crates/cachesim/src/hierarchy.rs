@@ -271,15 +271,18 @@ pub struct Hierarchy<M> {
     trace: Option<Vec<TraceEvent>>,
 }
 
+/// Most cores a hierarchy supports: the width of the L2 sharer bitmask.
+pub const MAX_CORES: u8 = 8;
+
 impl<M: MainMemory> Hierarchy<M> {
     /// Build a hierarchy over `mem`.
     ///
     /// # Panics
     ///
-    /// Panics if `params.cores == 0` or exceeds 8 (sharer bitmask width).
+    /// Panics if `params.cores` is outside `1..=MAX_CORES`.
     #[must_use]
     pub fn new(params: HierParams, mem: M) -> Self {
-        assert!(params.cores > 0 && params.cores <= 8, "1..=8 cores supported");
+        assert!((1..=MAX_CORES).contains(&params.cores), "1..={MAX_CORES} cores supported");
         Hierarchy {
             l1s: (0..params.cores).map(|_| Cache::new(params.l1)).collect(),
             l2: Cache::new(params.l2),

@@ -41,7 +41,7 @@ pub mod prefetch;
 
 pub use cache::{Cache, CacheCfg, LineMeta};
 pub use hierarchy::{
-    AccessOutcome, HierAudit, HierParams, HierStats, Hierarchy, StoreOutcome, Woken,
+    AccessOutcome, HierAudit, HierParams, HierStats, Hierarchy, StoreOutcome, Woken, MAX_CORES,
 };
 pub use mshr::{MshrEntry, MshrFile, Waiter};
 pub use prefetch::StridePrefetcher;

@@ -1,6 +1,6 @@
 //! The ROB-limited core model.
 //!
-//! The reorder buffer is a fixed ring buffer ([`RobRing`]) and the core
+//! The reorder buffer is a fixed ring buffer (`RobRing`) and the core
 //! exposes two execution paths with identical semantics:
 //!
 //! * [`Core::tick`] — the exact per-cycle step (retire up to `width`,

@@ -327,6 +327,7 @@ fn parse_sweep_request(body: &[u8]) -> Result<Vec<Cell>, String> {
             }
             cfg.trace = false;
             cfg.seed = cell_seed(base_seed.unwrap_or(cfg.seed), b, k);
+            cfg.validate()?;
             cells.push(Cell { bench: b.clone(), cfg });
         }
     }
@@ -679,6 +680,8 @@ mod tests {
             (r#"{"benches": ["mcf"], "kinds": ["rl"], "quick": 1}"#, "'quick'"),
             (r#"{"benches": ["mcf"], "kinds": ["rl"], "cores": 1.5}"#, "'cores'"),
             (r#"{"benches": ["mcf"], "kinds": ["rl"], "cores": 300}"#, "'cores'"),
+            (r#"{"benches": ["mcf"], "kinds": ["rl"], "cores": 9}"#, "'cores'"),
+            (r#"{"benches": ["mcf"], "kinds": ["rl"], "reads": 0}"#, "'reads'"),
             ("{", "expected"),
             ("{}", "missing or empty 'benches'"),
             (r#"{"benches": ["nope"], "kinds": ["rl"]}"#, "unknown benchmark"),

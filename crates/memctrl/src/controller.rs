@@ -15,6 +15,8 @@
 //! the low watermark (Table 1: 48-entry queues, watermarks 32/16), or
 //! opportunistically when the read queue is empty.
 
+use std::cell::Cell;
+
 use dram_timing::{
     AddressingStyle, BankState, Channel, Command, DeviceConfig, DeviceKind, PagePolicy, PowerState,
 };
@@ -24,6 +26,25 @@ use cwf_tracelog::TraceEvent;
 use crate::mapping::Loc;
 use crate::request::Token;
 use crate::txnq::{Txn, TxnQueue};
+
+/// A [`Controller`]'s memoized wake bound: nothing observable happens
+/// at any device cycle in `at + 1..bound` unless the controller's state
+/// changes first. Queries in `at..bound` return `bound` (`u64::MAX` ⇒
+/// idle until new work); ticks strictly inside the window are skipped.
+#[derive(Debug, Clone, Copy)]
+struct WakeMemo {
+    /// Device cycle of the fold.
+    at: u64,
+    /// The folded [`Controller::next_activity_mem`] bound.
+    bound: u64,
+    /// The scheduler idle bound the fold used: a skipped command-slot
+    /// tick adopts it, exactly as a full, fruitless tick would.
+    idle: u64,
+}
+
+/// The invalid memo: `at` above every query cycle, so no query or tick
+/// falls inside its window.
+const WAKE_UNKNOWN: WakeMemo = WakeMemo { at: u64::MAX, bound: 0, idle: 0 };
 
 /// Transaction scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,6 +178,10 @@ pub struct Controller {
     /// (unknown) by anything that can create or accelerate a candidate —
     /// an enqueue, any command issue, or a rank wake.
     sched_idle_until: u64,
+    /// Memoized [`Self::next_activity_mem`] fold. A `Cell` because the
+    /// query side takes `&self`; derived state, cleared by every mutation
+    /// and never checkpointed.
+    wake: Cell<WakeMemo>,
     refresh_deadline: Vec<u64>,
     refresh_bank_rr: Vec<u8>,
     completions: Vec<ReadCompletion>,
@@ -222,6 +247,7 @@ impl Controller {
             write_q: TxnQueue::new(ranks, banks),
             drain: false,
             sched_idle_until: 0,
+            wake: Cell::new(WAKE_UNKNOWN),
             refresh_deadline: (0..ranks).map(|r| t_refi.max(1) + u64::from(r) * 7).collect(),
             refresh_bank_rr: vec![0; ranks as usize],
             completions: Vec::new(),
@@ -242,6 +268,7 @@ impl Controller {
     /// controller as global channel index `channel` (the same
     /// numbering as [`crate::audit::ChannelDesc`] ordering).
     pub fn enable_trace(&mut self, channel: u16) {
+        self.forget_wake();
         self.trace = Some(TraceSink {
             channel,
             ratio: u64::from(self.cfg.cpu_cycles_per_mem_cycle).max(1),
@@ -263,6 +290,7 @@ impl Controller {
     /// command goes to the devices. Exists solely so the verify oracle's
     /// seeded-fault tests can prove the refresh ledger is not vacuous.
     pub fn inject_drop_refresh(&mut self, n: u32) {
+        self.forget_wake();
         self.fault_drop_refreshes = n;
     }
 
@@ -272,6 +300,7 @@ impl Controller {
     /// solely so the seeded-fault tests can prove the refresh ledger
     /// catches that (since-fixed) behavior.
     pub fn inject_phantom_self_refresh(&mut self, n: u32) {
+        self.forget_wake();
         self.fault_phantom_self_refresh = n;
     }
 
@@ -324,6 +353,7 @@ impl Controller {
         }
         self.read_q.push(token, loc, prefetch, enqueue_mem);
         self.sched_idle_until = 0;
+        self.forget_wake();
         if let Some(t) = self.trace.as_mut() {
             t.events.push(TraceEvent::McEnqueue {
                 token,
@@ -343,16 +373,29 @@ impl Controller {
         self.next_token += 1;
         self.write_q.push(token, loc, false, enqueue_mem);
         self.sched_idle_until = 0;
+        self.forget_wake();
         true
     }
 
     /// Take the read completions produced since the last call.
     pub fn take_completions(&mut self) -> Vec<ReadCompletion> {
+        if self.completions.is_empty() {
+            // Every backend drains every controller it ticks; an empty
+            // drain changes nothing, so the wake memo survives it.
+            return Vec::new();
+        }
+        self.forget_wake();
         std::mem::take(&mut self.completions)
+    }
+
+    /// Drop the memoized wake bound (state changed under it).
+    fn forget_wake(&self) {
+        self.wake.set(WAKE_UNKNOWN);
     }
 
     /// Record every DRAM command this controller issues (protocol audit).
     pub fn enable_command_log(&mut self) {
+        self.forget_wake();
         self.channel.enable_command_log();
     }
 
@@ -376,8 +419,24 @@ impl Controller {
     /// Advance one device cycle. `cmd_allowed` is false when a shared
     /// address/command bus gave this cycle's slot to a sibling sub-channel
     /// (§4.2.4). Returns `true` iff a command was issued.
+    ///
+    /// A tick strictly inside the memoized wake window (see
+    /// [`Self::next_activity_mem`]) is a proven no-op: only the cycle
+    /// counter moves.
     pub fn tick_mem(&mut self, now: u64, cmd_allowed: bool) -> bool {
         self.mem_cycles = self.mem_cycles.max(now + 1);
+        let wake = self.wake.get();
+        if wake.at < now && now < wake.bound {
+            // Power management, refresh and every scheduler pass would
+            // find nothing to do; with the command slot, a full tick would
+            // only refresh an expired idle bound to the fold's value.
+            if cmd_allowed && self.sched_idle_until <= now {
+                debug_assert_eq!(wake.idle, self.sched_bound(now), "stale idle bound");
+                self.sched_idle_until = wake.idle;
+            }
+            return false;
+        }
+        self.forget_wake();
         self.manage_power(now);
         if !cmd_allowed {
             return false;
@@ -1022,7 +1081,7 @@ impl Controller {
     /// - `deadline` / the refresh action's ready cycle once overdue;
     /// - `last_activity + powerdown_idle_cycles` for an idle `Up` rank
     ///   (suppressed inside the refresh-due window, where
-    ///   [`Self::manage_power`] refuses to sleep), and
+    ///   the power manager refuses to sleep), and
     ///   `last_activity + self_refresh_idle_cycles` for the PD→SR
     ///   escalation.
     ///
@@ -1030,15 +1089,36 @@ impl Controller {
     /// safe — `tick_mem` with nothing ready is a deterministic no-op —
     /// only waking late could diverge from the per-cycle kernel.
     ///
+    /// The result is memoized per controller. Every candidate is an
+    /// absolute cycle, so while the state is unchanged a query at any
+    /// later `now` below the bound folds to the same value and returns
+    /// the memo in O(1); every mutation clears it. The same proof lets
+    /// [`tick_mem`] skip a tick strictly inside the window.
+    ///
     /// [`tick_mem`]: Self::tick_mem
     #[must_use]
     pub fn next_activity_mem(&self, now: u64) -> Option<u64> {
+        let memo = self.wake.get();
+        if memo.at <= now && now < memo.bound {
+            debug_assert_eq!(memo.bound, self.fold_next_activity(now).bound, "stale wake memo");
+            return (memo.bound != u64::MAX).then_some(memo.bound);
+        }
+        let fresh = self.fold_next_activity(now);
+        self.wake.set(fresh);
+        (fresh.bound != u64::MAX).then_some(fresh.bound)
+    }
+
+    /// The fresh fold behind [`Self::next_activity_mem`], as a memo
+    /// computed at `now`.
+    fn fold_next_activity(&self, now: u64) -> WakeMemo {
         let t = &self.cfg.timings;
         let t_refi = u64::from(t.t_refi);
         // Every candidate below is clamped to `now + 1`, so the fold can
         // stop the moment it reaches that floor — nothing can beat it.
+        // The window is then empty, so the idle bound is never adopted.
+        let floor = WakeMemo { at: now, bound: now + 1, idle: 0 };
         if !self.completions.is_empty() {
-            return Some(now + 1);
+            return floor;
         }
         let mut next = u64::MAX;
         for (r, rank) in self.channel.ranks().iter().enumerate() {
@@ -1094,15 +1174,11 @@ impl Controller {
                 }
             }
             if next <= now + 1 {
-                return Some(now + 1);
+                return floor;
             }
         }
-        next = next.min(self.sched_bound(now));
-        if next == u64::MAX {
-            None
-        } else {
-            Some(next)
-        }
+        let idle = self.sched_bound(now);
+        WakeMemo { at: now, bound: next.min(idle), idle }
     }
 
     /// Ready cycle of the refresh action an overdue `Up` rank would take:
@@ -1273,6 +1349,7 @@ impl Controller {
 
     /// Snapshot statistics, settling residency up to `now` device cycles.
     pub fn stats(&mut self, now: u64) -> ControllerStats {
+        self.forget_wake();
         let ns_per_cycle = f64::from(self.cfg.timings.t_ck_ps) / 1000.0;
         ControllerStats {
             kind: self.cfg.kind,
@@ -1560,6 +1637,252 @@ mod tests {
         }
     }
 
+    mod memo_equivalence {
+        use super::*;
+        use crate::aggregate::AggregatedController;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone, Copy)]
+        struct Item {
+            sub: usize,
+            rank: u8,
+            bank: u8,
+            row: u32,
+            write: bool,
+            prefetch: bool,
+            gap: u16,
+        }
+
+        /// Bursts separated by idle gaps long enough for ranks to power
+        /// down and escalate to self-refresh between them.
+        fn item(subs: usize, ranks: u8, banks: u8) -> impl Strategy<Value = Item> {
+            // One gap in five is long (up to ~800 cycles).
+            let gap = (0u16..12, 0u8..5).prop_map(|(g, r)| if r == 0 { g * 70 } else { g });
+            (0..subs, 0..ranks, 0..banks, 0u32..4, prop::bool::ANY, prop::bool::ANY, gap).prop_map(
+                |(sub, rank, bank, row, write, prefetch, gap)| Item {
+                    sub,
+                    rank,
+                    bank,
+                    row,
+                    write,
+                    prefetch,
+                    gap,
+                },
+            )
+        }
+
+        /// Power management on, with short thresholds so it fires often.
+        fn with_power(mut cfg: DeviceConfig) -> DeviceConfig {
+            cfg.powerdown_idle_cycles = 16;
+            cfg.self_refresh_idle_cycles = 400;
+            cfg
+        }
+
+        /// A controller front the test drives: a bare [`Controller`] or an
+        /// [`AggregatedController`] with its shared command bus.
+        trait Driven {
+            fn enable_log(&mut self);
+            fn enqueue(&mut self, it: &Item, token: Token, now: u64) -> bool;
+            fn tick(&mut self, now: u64);
+            /// The memoized bound.
+            fn bound(&self, now: u64) -> Option<u64>;
+            /// A fresh fold, bypassing every memo.
+            fn fresh(&self, now: u64) -> Option<u64>;
+            fn drain(&mut self, out: &mut Vec<(usize, Token, u64)>);
+            /// Each controller's scheduler idle bound.
+            fn idle(&self) -> Vec<u64>;
+            /// Stats, command and power logs, and shared-bus conflicts.
+            fn finish(&mut self, now: u64) -> (String, String, u64);
+        }
+
+        fn fresh_bound(c: &Controller, now: u64) -> Option<u64> {
+            let b = c.fold_next_activity(now).bound;
+            (b != u64::MAX).then_some(b)
+        }
+
+        impl Driven for Controller {
+            fn enable_log(&mut self) {
+                self.enable_command_log();
+            }
+            fn enqueue(&mut self, it: &Item, token: Token, now: u64) -> bool {
+                let loc = Loc { rank: it.rank, bank: it.bank, row: it.row, col: 0 };
+                if it.write {
+                    self.enqueue_write(loc, now)
+                } else {
+                    self.enqueue_read(token, loc, it.prefetch, now)
+                }
+            }
+            fn tick(&mut self, now: u64) {
+                self.tick_mem(now, true);
+            }
+            fn bound(&self, now: u64) -> Option<u64> {
+                self.next_activity_mem(now)
+            }
+            fn fresh(&self, now: u64) -> Option<u64> {
+                fresh_bound(self, now)
+            }
+            fn drain(&mut self, out: &mut Vec<(usize, Token, u64)>) {
+                out.extend(self.take_completions().iter().map(|c| (0, c.token, c.data_end_mem)));
+            }
+            fn idle(&self) -> Vec<u64> {
+                vec![self.sched_idle_until]
+            }
+            fn finish(&mut self, now: u64) -> (String, String, u64) {
+                let logs = (self.take_command_log(), self.take_power_log());
+                (format!("{:?}", self.stats(now)), format!("{logs:?}"), 0)
+            }
+        }
+
+        impl Driven for AggregatedController {
+            fn enable_log(&mut self) {
+                self.enable_command_log();
+            }
+            fn enqueue(&mut self, it: &Item, token: Token, now: u64) -> bool {
+                let loc = Loc { rank: it.rank, bank: it.bank, row: it.row, col: 0 };
+                if it.write {
+                    self.enqueue_write(it.sub, loc, now)
+                } else {
+                    self.enqueue_read(it.sub, token, loc, it.prefetch, now)
+                }
+            }
+            fn tick(&mut self, now: u64) {
+                self.tick_mem(now);
+            }
+            fn bound(&self, now: u64) -> Option<u64> {
+                self.next_activity_mem(now)
+            }
+            fn fresh(&self, now: u64) -> Option<u64> {
+                self.subs().iter().filter_map(|s| fresh_bound(s, now)).min()
+            }
+            fn drain(&mut self, out: &mut Vec<(usize, Token, u64)>) {
+                out.extend(
+                    self.take_completions().iter().map(|(s, c)| (*s, c.token, c.data_end_mem)),
+                );
+            }
+            fn idle(&self) -> Vec<u64> {
+                self.subs().iter().map(|s| s.sched_idle_until).collect()
+            }
+            fn finish(&mut self, now: u64) -> (String, String, u64) {
+                let logs = (self.take_command_logs(), self.take_power_logs());
+                (format!("{:?}", self.stats(now)), format!("{logs:?}"), self.cmd_bus_conflicts)
+            }
+        }
+
+        /// How a run advances device time.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Mode {
+            /// Tick every cycle and never query: no memo is ever built.
+            EveryCycle,
+            /// Tick every cycle and query before and after each tick and
+            /// after the enqueue, so ticks inside a memoized window take
+            /// the skip path and every query order is checked.
+            EveryCycleQueried,
+            /// Tick only once the memoized bound is due (the event kernel).
+            WhenDue,
+        }
+
+        /// Completions, the final stats/logs, and the idle bounds after
+        /// every cycle.
+        type Outcome = (Vec<(usize, Token, u64)>, (String, String, u64), Vec<Vec<u64>>);
+
+        /// The memoized bound, checked against a fresh fold.
+        fn checked_bound<D: Driven>(d: &D, now: u64) -> u64 {
+            let bound = d.bound(now);
+            assert_eq!(bound, d.fresh(now), "memoized bound diverged at {now}");
+            bound.unwrap_or(u64::MAX)
+        }
+
+        fn drive<D: Driven>(mut d: D, items: &[Item], mode: Mode) -> Outcome {
+            d.enable_log();
+            let mut done = Vec::new();
+            let mut idles = Vec::new();
+            let mut wake = 0u64;
+            let mut tok = 0u64;
+            let mut now = 0u64;
+            let extra = mode == Mode::EveryCycleQueried;
+            let mut step = |d: &mut D, now: u64, item: Option<&Item>, wake: &mut u64| {
+                if extra {
+                    checked_bound(d, now);
+                }
+                if mode != Mode::WhenDue || now >= *wake {
+                    d.tick(now);
+                    if extra {
+                        checked_bound(d, now);
+                    }
+                    d.drain(&mut done);
+                }
+                if let Some(it) = item {
+                    if d.enqueue(it, Token(tok), now) && !it.write {
+                        tok += 1;
+                    }
+                }
+                if mode != Mode::EveryCycle {
+                    *wake = checked_bound(d, now);
+                }
+                idles.push(d.idle());
+            };
+            for it in items {
+                for _ in 0..it.gap {
+                    step(&mut d, now, None, &mut wake);
+                    now += 1;
+                }
+                step(&mut d, now, Some(it), &mut wake);
+                now += 1;
+            }
+            // Drain across a refresh interval.
+            for _ in 0..8_000 {
+                step(&mut d, now, None, &mut wake);
+                now += 1;
+            }
+            (done, d.finish(now), idles)
+        }
+
+        fn assert_modes_agree<D: Driven>(build: impl Fn() -> D, items: &[Item]) {
+            let reference = drive(build(), items, Mode::EveryCycle);
+            assert!(!reference.0.is_empty() || items.iter().all(|i| i.write));
+            // The final drain idles every rank into power-down.
+            assert!(reference.1 .1.contains("PowerDown"), "power management never fired");
+            for mode in [Mode::EveryCycleQueried, Mode::WhenDue] {
+                let got = drive(build(), items, mode);
+                assert_eq!(got.0, reference.0, "{mode:?}: completions diverged");
+                assert_eq!(got.1, reference.1, "{mode:?}: stats or logs diverged");
+                if mode == Mode::EveryCycleQueried {
+                    // A skipped tick leaves the state a full tick would.
+                    assert!(got.2 == reference.2, "{mode:?}: idle bounds diverged");
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn memoized_wake_matches_every_cycle_ddr3(
+                items in prop::collection::vec(item(1, 2, 8), 1..64)
+            ) {
+                let cfg = with_power(DeviceConfig::ddr3_1600());
+                assert_modes_agree(|| Controller::new(cfg.clone(), 2, 9, "memo"), &items);
+            }
+
+            #[test]
+            fn memoized_wake_matches_every_cycle_lpddr2(
+                items in prop::collection::vec(item(1, 1, 8), 1..64)
+            ) {
+                let cfg = with_power(DeviceConfig::lpddr2_800());
+                assert_modes_agree(|| Controller::new(cfg.clone(), 1, 8, "memo"), &items);
+            }
+
+            #[test]
+            fn memoized_wake_matches_every_cycle_aggregated_rldram3(
+                items in prop::collection::vec(item(4, 1, 16), 1..96)
+            ) {
+                let cfg = with_power(DeviceConfig::rldram3());
+                let build = || AggregatedController::new(&cfg, 4, 1, 1, "memo", CtrlParams::default());
+                assert_modes_agree(build, &items);
+            }
+        }
+    }
+
     #[test]
     fn stats_latency_units_are_ns() {
         let mut c = ddr3_ctrl();
@@ -1614,6 +1937,7 @@ impl Controller {
             write_q,
             drain,
             sched_idle_until,
+            wake: _,
             refresh_deadline,
             refresh_bank_rr,
             completions,
@@ -1662,6 +1986,7 @@ impl Controller {
     /// Fails on malformed input or a refresh-deadline count mismatch.
     pub fn load_state(&mut self, r: &mut cwf_ckpt::Reader<'_>) -> cwf_ckpt::Result<()> {
         r.expect_section(b"CTRL")?;
+        self.forget_wake();
         self.channel.load_state(r)?;
         self.read_q = cwf_ckpt::Ckpt::load(r)?;
         self.write_q = cwf_ckpt::Ckpt::load(r)?;

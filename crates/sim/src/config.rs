@@ -591,6 +591,25 @@ impl RunConfig {
         }
     }
 
+    /// Reject a configuration no run can use: a core count outside
+    /// `1..=MAX_CORES` (the hierarchy's sharer bitmask) or a zero read
+    /// target (an empty measurement window). The message names the field,
+    /// so callers at an input boundary can report it as is.
+    ///
+    /// # Errors
+    ///
+    /// The first invalid field, described.
+    pub fn validate(&self) -> Result<(), String> {
+        let max = cache_hier::MAX_CORES;
+        if !(1..=max).contains(&self.cores) {
+            return Err(format!("'cores' must be in 1..={max} (got {})", self.cores));
+        }
+        if self.target_dram_reads == 0 {
+            return Err("'reads' must be at least 1".to_owned());
+        }
+        Ok(())
+    }
+
     /// Same run with a different core count.
     #[must_use]
     pub fn with_cores(mut self, cores: u8) -> Self {

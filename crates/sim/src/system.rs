@@ -765,6 +765,7 @@ impl System {
             )));
         }
         let cfg = RunConfig::load(&mut r)?;
+        cfg.validate().map_err(|e| cwf_ckpt::CkptError::new(format!("checkpoint config: {e}")))?;
         let bench = String::load(&mut r)?;
         let profile = workloads::by_name(&bench).ok_or_else(|| {
             cwf_ckpt::CkptError::new(format!("checkpoint names unknown benchmark '{bench}'"))

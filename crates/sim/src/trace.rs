@@ -1,5 +1,5 @@
-//! System-level trace collection ([`Tracer`]) and the end-of-run
-//! [`TraceReport`]: Perfetto export plus the latency-waterfall
+//! System-level trace collection (the crate-private `Tracer`) and the
+//! end-of-run [`TraceReport`]: Perfetto export plus the latency-waterfall
 //! decomposition.
 //!
 //! The tracer is a pure observer. It drains the instrumentation buffers

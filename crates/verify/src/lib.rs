@@ -71,7 +71,7 @@ pub struct VerifyReport {
     pub core_span_cycles: u64,
     /// Total violations detected (may exceed `violations.len()`).
     pub total_violations: u64,
-    /// Up to [`MAX_STORED_VIOLATIONS`] detailed violations, in detection
+    /// Up to 1 000 (`MAX_STORED_VIOLATIONS`) detailed violations, in detection
     /// order.
     pub violations: Vec<OracleViolation>,
 }

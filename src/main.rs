@@ -66,6 +66,27 @@ fn arg_value(args: &[String], key: &str) -> Option<String> {
     args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
 }
 
+/// `key`'s value parsed as `T`, when the flag is present; a value that
+/// does not parse is a usage error naming the flag.
+fn parsed_arg<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T> {
+    let v = arg_value(args, key)?;
+    Some(v.parse().unwrap_or_else(|_| {
+        eprintln!("invalid {key} value '{v}'");
+        usage()
+    }))
+}
+
+/// `--reads N` (`default` when absent); zero or a non-number is a usage
+/// error.
+fn reads_arg(args: &[String], default: u64) -> u64 {
+    let reads = parsed_arg(args, "--reads").unwrap_or(default);
+    if reads == 0 {
+        eprintln!("--reads must be at least 1");
+        usage()
+    }
+    reads
+}
+
 fn parse_kind(name: &str) -> MemKind {
     MemKind::parse(name).unwrap_or_else(|| {
         eprintln!("unknown memory kind '{name}'");
@@ -283,18 +304,21 @@ fn build_config(args: &[String]) -> RunConfig {
     } else {
         parse_kind(&arg_value(args, "--mem").unwrap_or_else(|| "rl".into()))
     };
-    let reads = arg_value(args, "--reads").and_then(|v| v.parse().ok()).unwrap_or(10_000);
-    let mut cfg = RunConfig::paper(mem, reads);
-    if let Some(c) = arg_value(args, "--cores").and_then(|v| v.parse().ok()) {
+    let mut cfg = RunConfig::paper(mem, reads_arg(args, 10_000));
+    if let Some(c) = parsed_arg(args, "--cores") {
         cfg.cores = c;
+    }
+    if let Err(e) = cfg.validate() {
+        eprintln!("{e}");
+        usage()
     }
     if args.iter().any(|a| a == "--no-prefetch") {
         cfg.prefetch = false;
     }
-    if let Some(p) = arg_value(args, "--parity-rate").and_then(|v| v.parse().ok()) {
+    if let Some(p) = parsed_arg(args, "--parity-rate") {
         cfg.parity_error_rate = p;
     }
-    if let Some(s) = arg_value(args, "--seed").and_then(|v| v.parse().ok()) {
+    if let Some(s) = parsed_arg(args, "--seed") {
         cfg.seed = s;
     }
     // `--kernel` overrides the `CWF_KERNEL` environment default. Both
@@ -444,8 +468,7 @@ fn cmd_resume(args: &[String]) {
 /// (DESIGN.md §16). Runs until `POST /shutdown`.
 fn cmd_serve(args: &[String]) {
     let bind = arg_value(args, "--bind").unwrap_or_else(|| "127.0.0.1:8327".into());
-    let workers = arg_value(args, "--workers")
-        .and_then(|v| v.parse().ok())
+    let workers = parsed_arg(args, "--workers")
         .filter(|&n: &usize| n > 0)
         .unwrap_or_else(cwfmem::sim::sweep::jobs);
     let server = cwfmem::dse::Server::start(&bind, workers).unwrap_or_else(|e| {
@@ -613,7 +636,7 @@ fn cmd_trace_check(args: &[String]) {
 
 fn cmd_sweep(args: &[String]) {
     use cwfmem::sim::{report, sweep, Table};
-    let reads = arg_value(args, "--reads").and_then(|v| v.parse().ok()).unwrap_or(8_000);
+    let reads = reads_arg(args, 8_000);
     let benches: Vec<String> = if args.iter().any(|a| a == "--all-benches") {
         all_benches().iter().map(|b| (*b).to_owned()).collect()
     } else if let Some(list) = arg_value(args, "--benches") {
@@ -625,7 +648,7 @@ fn cmd_sweep(args: &[String]) {
         || vec![MemKind::Ddr3, MemKind::Rl, MemKind::RlAdaptive],
         |list| list.split(',').map(parse_kind).collect(),
     );
-    let jobs = arg_value(args, "--jobs").and_then(|v| v.parse().ok()).unwrap_or_else(sweep::jobs);
+    let jobs = parsed_arg(args, "--jobs").unwrap_or_else(sweep::jobs);
     let json_dir = arg_value(args, "--json").map(std::path::PathBuf::from);
 
     let bench_refs: Vec<&str> = benches.iter().map(String::as_str).collect();
@@ -689,7 +712,7 @@ fn cmd_sweep(args: &[String]) {
 
 fn cmd_compare(args: &[String]) {
     let bench = arg_value(args, "--bench").unwrap_or_else(|| "leslie3d".into());
-    let reads = arg_value(args, "--reads").and_then(|v| v.parse().ok()).unwrap_or(8_000);
+    let reads = reads_arg(args, 8_000);
     println!(
         "{:<10} {:>8} {:>9} {:>12} {:>9}",
         "config", "IPC", "vs DDR3", "cw-lat (ns)", "DRAM W"
@@ -712,9 +735,9 @@ fn cmd_compare(args: &[String]) {
 
 fn cmd_dump_trace(args: &[String]) {
     let bench = arg_value(args, "--bench").unwrap_or_else(|| "leslie3d".into());
-    let core: u8 = arg_value(args, "--core").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let ops: u64 = arg_value(args, "--ops").and_then(|v| v.parse().ok()).unwrap_or(100_000);
-    let seed: u64 = arg_value(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(0xD2A4_0001);
+    let core: u8 = parsed_arg(args, "--core").unwrap_or(0);
+    let ops: u64 = parsed_arg(args, "--ops").unwrap_or(100_000);
+    let seed: u64 = parsed_arg(args, "--seed").unwrap_or(0xD2A4_0001);
     let Some(out) = arg_value(args, "--out") else { usage() };
     let Some(profile) = cwfmem::workloads::by_name(&bench) else {
         eprintln!("unknown benchmark '{bench}'");
@@ -731,7 +754,7 @@ fn cmd_dump_trace(args: &[String]) {
 
 fn cmd_figures(args: &[String]) {
     let which = args.first().cloned().unwrap_or_else(|| "all".into());
-    let reads = arg_value(args, "--reads").and_then(|v| v.parse().ok()).unwrap_or(8_000);
+    let reads = reads_arg(args, 8_000);
     let csv_dir = arg_value(args, "--csv").map(std::path::PathBuf::from);
     let benches: Vec<&'static str> =
         if args.iter().any(|a| a == "--all-benches") { all_benches() } else { default_benches() };

@@ -79,3 +79,24 @@ fn run_with_an_unknown_bench_is_a_usage_error() {
     assert!(stderr.contains("unknown benchmark 'no-such-bench'"), "stderr: {stderr}");
     assert!(stderr.contains("usage:"), "stderr: {stderr}");
 }
+
+#[test]
+fn out_of_range_cores_and_zero_reads_are_usage_errors() {
+    // Each used to panic inside the hierarchy (exit 101), run an empty
+    // measurement window, or silently fall back to the flag's default;
+    // the CLI boundary must reject them first.
+    for (args, needle) in [
+        (&["run", "--bench", "mcf", "--cores", "0"][..], "'cores' must be in 1..=8"),
+        (&["run", "--bench", "mcf", "--cores", "9"][..], "'cores' must be in 1..=8"),
+        (&["run", "--bench", "mcf", "--cores", "many"][..], "invalid --cores value"),
+        (&["run", "--bench", "mcf", "--seed", "abc"][..], "invalid --seed value"),
+        (&["run", "--bench", "mcf", "--reads", "0"][..], "--reads must be at least 1"),
+        (&["sweep", "--benches", "mcf", "--kinds", "rl", "--reads", "0"][..], "--reads must be"),
+    ] {
+        let out = cwfmem().args(args).output().expect("run cwfmem");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+}
